@@ -1,18 +1,19 @@
-//! Real CPU execution path: dynamic one-core-per-matrix with Rayon.
+//! Real CPU execution path: dynamic one-core-per-matrix on the shared
+//! worker pool.
 //!
 //! The analytic model in [`crate::cpu_model`] produces the figures; this
 //! module actually factorizes the batch on the host so tests can confirm
-//! the baseline's numerics and Criterion can measure real wall time. The
-//! Rayon work-stealing pool is precisely the "dynamic scheduling"
-//! variant the paper identifies as the best CPU competitor.
+//! the baseline's numerics and Criterion can measure real wall time.
+//! Lanes of [`vbatch_dense::pool::shared`] pull one matrix at a time
+//! until the batch is done — precisely the "dynamic scheduling" variant
+//! the paper identifies as the best CPU competitor.
 
-use rayon::prelude::*;
 use std::time::{Duration, Instant};
-use vbatch_dense::{potrf_blocked, Error, MatMut, Scalar, Uplo};
+use vbatch_dense::{pool, potrf_blocked, Error, MatMut, Scalar, Uplo};
 
 /// Factorizes every matrix in place (lower Cholesky, one task per
-/// matrix, work-stealing), returning wall time and the per-matrix
-/// LAPACK-style `info` codes.
+/// matrix, dynamically scheduled), returning wall time and the
+/// per-matrix LAPACK-style `info` codes.
 pub fn potrf_batch_dynamic<T: Scalar>(
     mats: &mut [Vec<T>],
     sizes: &[usize],
@@ -20,20 +21,11 @@ pub fn potrf_batch_dynamic<T: Scalar>(
 ) -> (Duration, Vec<i32>) {
     assert_eq!(mats.len(), sizes.len());
     let start = Instant::now();
-    let info: Vec<i32> = mats
-        .par_iter_mut()
-        .zip(sizes.par_iter())
-        .map(|(m, &n)| {
-            if n == 0 {
-                return 0;
-            }
-            match potrf_blocked(Uplo::Lower, MatMut::from_slice(m, n, n, n), nb) {
-                Ok(()) => 0,
-                Err(Error::NotPositiveDefinite { column }) => (column + 1) as i32,
-                Err(_) => -1,
-            }
-        })
-        .collect();
+    let mut info = vec![0i32; mats.len()];
+    pool::shared().for_each(
+        mats.iter_mut().zip(sizes).zip(info.iter_mut()),
+        |((m, &n), info)| *info = potrf_info(m, n, nb),
+    );
     (start.elapsed(), info)
 }
 
@@ -49,18 +41,21 @@ pub fn potrf_batch_sequential<T: Scalar>(
     let info: Vec<i32> = mats
         .iter_mut()
         .zip(sizes)
-        .map(|(m, &n)| {
-            if n == 0 {
-                return 0;
-            }
-            match potrf_blocked(Uplo::Lower, MatMut::from_slice(m, n, n, n), nb) {
-                Ok(()) => 0,
-                Err(Error::NotPositiveDefinite { column }) => (column + 1) as i32,
-                Err(_) => -1,
-            }
-        })
+        .map(|(m, &n)| potrf_info(m, n, nb))
         .collect();
     (start.elapsed(), info)
+}
+
+/// Factorizes one `n x n` matrix in place; LAPACK-style `info`.
+fn potrf_info<T: Scalar>(m: &mut [T], n: usize, nb: usize) -> i32 {
+    if n == 0 {
+        return 0;
+    }
+    match potrf_blocked(Uplo::Lower, MatMut::from_slice(m, n, n, n), nb) {
+        Ok(()) => 0,
+        Err(Error::NotPositiveDefinite { column }) => (column + 1) as i32,
+        Err(_) => -1,
+    }
 }
 
 #[cfg(test)]

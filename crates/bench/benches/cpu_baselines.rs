@@ -1,5 +1,5 @@
-//! Criterion: the real CPU baseline (Rayon dynamic one-core-per-matrix)
-//! against the sequential reference — actual host wall-time, keeping the
+//! Criterion: the real CPU baseline (dynamic one-core-per-matrix on the
+//! shared worker pool) against the sequential reference — actual host wall-time, keeping the
 //! analytic model honest about numerics and scheduling.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -16,7 +16,7 @@ fn bench_cpu_real(c: &mut Criterion) {
         sizes.iter().map(|&n| spd_vec(&mut rng, n)).collect()
     };
 
-    g.bench_function("rayon_dynamic", |b| {
+    g.bench_function("pool_dynamic", |b| {
         b.iter_batched(
             || mats.clone(),
             |mut m| potrf_batch_dynamic(&mut m, &sizes, 16),

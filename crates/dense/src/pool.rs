@@ -1,9 +1,11 @@
-//! Fixed-size worker pool for the multicore host engine.
+//! Fixed-size worker pool: the one threading model of the workspace.
 //!
 //! This is the *only* place in the workspace allowed to spawn threads
 //! (enforced by `vbatch-analyze` rule VBA202): all host-side parallelism
 //! goes through one pool so thread count, dispatch order and scratch
-//! ownership stay auditable. The pool is deliberately minimal:
+//! ownership stay auditable. The simulator's block fan-out and the CPU
+//! baseline run on the process-wide [`shared`] pool; the host engine
+//! owns an explicitly sized one. The pool is deliberately minimal:
 //!
 //! * **Fixed workers, one job at a time.** [`WorkerPool::new`] spawns
 //!   `threads - 1` workers; [`WorkerPool::run`] publishes a job, runs
@@ -11,20 +13,30 @@
 //!   worker finished its slice. A pool of one thread spawns nothing and
 //!   runs the job inline, so the single-threaded path has zero
 //!   synchronization overhead.
+//! * **Busy means inline.** A caller that finds the workers serving
+//!   another job — a concurrent thread, or a job calling back into its
+//!   own pool — runs every lane itself, in lane order. Lanes are
+//!   disjoint, so results do not change; nothing waits on a busy pool.
 //! * **Zero allocation per dispatch.** Publishing a job writes a raw
 //!   pointer and bumps an epoch under a mutex; no `Box`, no channel.
-//!   This keeps the warm host-engine path allocation-free (pinned by
-//!   the bench-crate counting-allocator tests).
+//!   This keeps the warm host-engine and launch paths allocation-free
+//!   (pinned by the bench-crate counting-allocator tests).
 //! * **Determinism is the caller's contract.** The pool imposes no
 //!   ordering between workers; callers must hand each worker a disjoint
-//!   slice of independent work so results are bitwise identical for any
-//!   thread count.
+//!   slice of independent work ([`WorkerPool::for_each`] does so) so
+//!   results are bitwise identical for any thread count.
+//! * **Panics propagate.** A panicking lane's payload is re-raised on
+//!   the calling thread once every lane has stopped, and the workers
+//!   stay alive for the next job.
 //!
 //! Thread count resolution ([`resolved_threads`]): the `VBATCH_THREADS`
 //! environment variable when set (floor 1), otherwise
 //! `std::thread::available_parallelism()`.
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
 /// The job type workers execute: called once per worker with the
@@ -39,6 +51,13 @@ pub fn resolved_threads() -> usize {
         Ok(s) => s.trim().parse::<usize>().unwrap_or(1).max(1),
         Err(_) => std::thread::available_parallelism().map_or(1, usize::from),
     }
+}
+
+/// The process-wide pool, sized once by [`resolved_threads`] on first
+/// use and never torn down.
+pub fn shared() -> &'static WorkerPool {
+    static SHARED: OnceLock<WorkerPool> = OnceLock::new();
+    SHARED.get_or_init(WorkerPool::from_env)
 }
 
 /// A lifetime-erased pointer to the current job. Workers only ever
@@ -58,6 +77,8 @@ struct Slot {
     epoch: u64,
     job: Option<JobPtr>,
     remaining: usize,
+    /// The first worker panic of the current job, re-raised by `run`.
+    panic: Option<Box<dyn Any + Send>>,
     shutdown: bool,
 }
 
@@ -74,6 +95,10 @@ pub struct WorkerPool {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
     threads: usize,
+    /// Held by the one `run` whose job the workers are serving: taken
+    /// with an `Acquire` compare-exchange in `run`, given back with a
+    /// `Release` store in `Dispatch::join` once the workers are done.
+    busy: AtomicBool,
 }
 
 impl WorkerPool {
@@ -87,6 +112,7 @@ impl WorkerPool {
                 epoch: 0,
                 job: None,
                 remaining: 0,
+                panic: None,
                 shutdown: false,
             }),
             work_cv: Condvar::new(),
@@ -105,6 +131,7 @@ impl WorkerPool {
             shared,
             handles,
             threads,
+            busy: AtomicBool::new(false),
         }
     }
 
@@ -123,38 +150,101 @@ impl WorkerPool {
 
     /// Runs `job(w)` once for every lane `w in 0..threads()`, on the
     /// workers and the calling thread, and returns when all are done.
-    /// Lane `threads() - 1` runs on the calling thread. Allocates
-    /// nothing.
+    /// Lane `threads() - 1` runs on the calling thread. When the workers
+    /// are busy with another caller's job, every lane runs here in lane
+    /// order instead. Allocates nothing.
     pub fn run(&self, job: Job<'_>) {
-        if self.handles.is_empty() {
-            job(0);
+        if self.handles.is_empty()
+            || self
+                .busy
+                .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+                .is_err()
+        {
+            for w in 0..self.threads {
+                job(w);
+            }
             return;
         }
         {
             let mut slot = lock(&self.shared.slot);
-            debug_assert_eq!(slot.remaining, 0, "pool runs one job at a time");
             // SAFETY: lifetime erasure only — the borrow stays alive
-            // (and this thread stays blocked in `run`) until every
-            // worker is done with the pointer; soundness argued at
-            // `JobPtr`.
+            // (and this thread stays in `run`, the `Dispatch` guard
+            // waiting even on unwind) until every worker is done with
+            // the pointer; soundness argued at `JobPtr`.
             let erased: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(job) };
             slot.job = Some(JobPtr(erased as *const _));
             slot.epoch = slot.epoch.wrapping_add(1);
             slot.remaining = self.handles.len();
             self.shared.work_cv.notify_all();
         }
+        let mut dispatch = Dispatch {
+            pool: self,
+            joined: false,
+        };
         // The caller is the last lane; doing real work here means a
         // T-thread pool uses T cores, not T+1 threads on T cores.
         job(self.threads - 1);
-        let mut slot = lock(&self.shared.slot);
+        if let Some(payload) = dispatch.join() {
+            resume_unwind(payload);
+        }
+    }
+
+    /// Runs `f` on every item of `items`, spread over the lanes: each
+    /// lane pulls the next item from the shared iterator until it is
+    /// exhausted, so uneven items balance dynamically. Items are
+    /// disjoint by construction (an iterator hands each out once), which
+    /// is the determinism contract of [`WorkerPool::run`].
+    pub fn for_each<I, F>(&self, items: I, f: F)
+    where
+        I: Iterator + Send,
+        F: Fn(I::Item) + Sync,
+    {
+        let items = Mutex::new(items);
+        self.run(&|_lane| loop {
+            let Some(item) = lock(&items).next() else {
+                break;
+            };
+            f(item);
+        });
+    }
+}
+
+/// The in-flight dispatch of one `run`: waits for every worker to
+/// finish with the job and releases the pool — on return and on unwind
+/// out of the caller's lane alike, so the job borrow always outlives
+/// the workers' use of it.
+struct Dispatch<'p> {
+    pool: &'p WorkerPool,
+    joined: bool,
+}
+
+impl Dispatch<'_> {
+    /// Blocks until every worker finished the job; returns the first
+    /// worker panic, if any.
+    fn join(&mut self) -> Option<Box<dyn Any + Send>> {
+        self.joined = true;
+        let shared = &self.pool.shared;
+        let mut slot = lock(&shared.slot);
         while slot.remaining > 0 {
-            slot = self
-                .shared
+            slot = shared
                 .done_cv
                 .wait(slot)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
         slot.job = None;
+        let panic = slot.panic.take();
+        drop(slot);
+        self.pool.busy.store(false, Ordering::Release);
+        panic
+    }
+}
+
+impl Drop for Dispatch<'_> {
+    fn drop(&mut self) {
+        if !self.joined {
+            // Unwinding from the caller's lane: that panic wins.
+            let _ = self.join();
+        }
     }
 }
 
@@ -166,8 +256,9 @@ impl Drop for WorkerPool {
             self.shared.work_cv.notify_all();
         }
         for h in self.handles.drain(..) {
-            // A worker only panics if the job panicked; propagating the
-            // panic out of drop would abort, so surface it as a log.
+            // Job panics are caught in the worker loop; a failed join
+            // means the loop itself broke. Propagating a panic out of
+            // drop would abort, so surface it as a log.
             if h.join().is_err() {
                 eprintln!("vbatch host worker panicked");
             }
@@ -205,8 +296,11 @@ fn worker_loop(shared: &Shared, index: usize) {
         // SAFETY: `run` published this pointer under the current epoch
         // and will not return (or invalidate the borrow) until this
         // worker decrements `remaining` below; the pointee is `Sync`.
-        unsafe { (*job.0)(index) };
+        let result = catch_unwind(AssertUnwindSafe(|| unsafe { (*job.0)(index) }));
         let mut slot = lock(&shared.slot);
+        if let Err(payload) = result {
+            slot.panic.get_or_insert(payload);
+        }
         slot.remaining -= 1;
         if slot.remaining == 0 {
             shared.done_cv.notify_all();
@@ -276,5 +370,113 @@ mod tests {
     fn zero_threads_clamps_to_one() {
         let pool = WorkerPool::new(0);
         assert_eq!(pool.threads(), 1);
+    }
+
+    /// Runs `body` on a detached thread and fails the test if it does
+    /// not finish in time, so a wedged pool fails instead of hanging.
+    fn within_deadline(body: impl FnOnce() + Send + 'static) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            body();
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(60))
+            .expect("pool test panicked or did not finish within 60 s");
+    }
+
+    /// Runs `pool.run` once and checks every lane ran exactly once.
+    fn run_counting(pool: &WorkerPool, inner: &(dyn Fn() + Sync)) {
+        let hits: Vec<AtomicUsize> = (0..pool.threads()).map(|_| AtomicUsize::new(0)).collect();
+        pool.run(&|w| {
+            hits[w].fetch_add(1, Ordering::Relaxed);
+            inner();
+        });
+        for (w, h) in hits.iter().enumerate() {
+            assert_eq!(h.load(Ordering::Relaxed), 1, "lane {w}");
+        }
+    }
+
+    #[test]
+    fn concurrent_callers_each_get_every_lane_once() {
+        within_deadline(|| {
+            let pool = Arc::new(WorkerPool::new(3));
+            // Forced overlap: caller B runs while lane 0 of caller A's
+            // job waits for B to finish, so B must not wait on A.
+            let (started_tx, started_rx) = std::sync::mpsc::channel();
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let b = {
+                let pool = Arc::clone(&pool);
+                std::thread::spawn(move || {
+                    started_rx.recv().expect("caller A started");
+                    run_counting(&pool, &|| {});
+                    done_tx.send(()).expect("caller A waits");
+                })
+            };
+            let done_rx = Mutex::new(done_rx);
+            run_counting(&pool, &|| {});
+            let hits: Vec<AtomicUsize> = (0..3).map(|_| AtomicUsize::new(0)).collect();
+            pool.run(&|w| {
+                hits[w].fetch_add(1, Ordering::Relaxed);
+                if w == 0 {
+                    started_tx.send(()).expect("caller B waits");
+                    lock(&done_rx).recv().expect("caller B finished");
+                }
+            });
+            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+            b.join().expect("caller B");
+
+            // Unforced: two callers hammer the pool.
+            let callers: Vec<_> = (0..2)
+                .map(|_| {
+                    let pool = Arc::clone(&pool);
+                    std::thread::spawn(move || {
+                        for _ in 0..2000 {
+                            run_counting(&pool, &|| {});
+                        }
+                    })
+                })
+                .collect();
+            for c in callers {
+                c.join().expect("caller thread");
+            }
+        });
+    }
+
+    #[test]
+    fn nested_run_from_inside_a_job_completes() {
+        within_deadline(|| {
+            let pool = WorkerPool::new(3);
+            for _ in 0..200 {
+                run_counting(&pool, &|| run_counting(&pool, &|| {}));
+            }
+        });
+    }
+
+    #[test]
+    fn worker_panic_reaches_the_caller_and_pool_survives() {
+        within_deadline(|| {
+            let pool = WorkerPool::new(2);
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                pool.run(&|w| assert!(w != 0, "lane zero fails"));
+            }));
+            let payload = caught.expect_err("worker panic must propagate");
+            let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert!(msg.contains("lane zero fails"), "payload {msg:?}");
+            run_counting(&pool, &|| {});
+        });
+    }
+
+    #[test]
+    fn for_each_visits_every_item_once() {
+        for threads in [1, 4] {
+            let pool = WorkerPool::new(threads);
+            let mut out = vec![0usize; 1000];
+            pool.for_each(out.chunks_mut(7).enumerate(), |(c, chunk)| {
+                for (j, v) in chunk.iter_mut().enumerate() {
+                    *v += c * 7 + j + 1;
+                }
+            });
+            assert!(out.iter().enumerate().all(|(i, &v)| v == i + 1));
+        }
     }
 }

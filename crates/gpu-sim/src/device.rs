@@ -2,7 +2,7 @@
 //! energy.
 
 use parking_lot::Mutex;
-use rayon::prelude::*;
+use vbatch_dense::pool;
 
 use crate::config::DeviceConfig;
 use crate::cost::{BlockCost, BlockCtx};
@@ -290,20 +290,34 @@ impl Device {
         costs
     }
 
+    /// Runs every block of the grid, writing block `i`'s cost to
+    /// `costs[i]`. Blocks run on the shared worker pool in chunks the
+    /// lanes pull dynamically (several per lane, so uneven blocks
+    /// balance); a one-block grid runs inline.
     fn run_blocks_into<F>(&self, cfg: &LaunchConfig, kernel: &F, costs: &mut Vec<BlockCost>)
     where
         F: Fn(&mut BlockCtx) + Sync,
     {
-        let n_blocks = cfg.grid.count();
-        (0..n_blocks)
-            .into_par_iter()
-            .map(|linear| {
-                let idx = cfg.grid.unflatten(linear);
+        const CHUNKS_PER_LANE: usize = 4;
+        let n_blocks = usize::try_from(cfg.grid.count()).expect("grid fits host memory");
+        costs.clear();
+        costs.resize(n_blocks, BlockCost::default());
+        let pool = pool::shared();
+        let lanes = if n_blocks < 2 { 1 } else { pool.threads() };
+        let chunk = n_blocks.div_ceil(CHUNKS_PER_LANE * lanes).max(1);
+        let run_chunk = |(c, chunk_costs): (usize, &mut [BlockCost])| {
+            for (j, cost) in chunk_costs.iter_mut().enumerate() {
+                let idx = cfg.grid.unflatten((c * chunk + j) as u64);
                 let mut ctx = BlockCtx::new(idx, cfg.block, cfg.grid, self.cfg.warp_size);
                 kernel(&mut ctx);
-                ctx.into_cost()
-            })
-            .collect_into_vec(costs);
+                *cost = ctx.into_cost();
+            }
+        };
+        if lanes == 1 {
+            costs.chunks_mut(chunk).enumerate().for_each(run_chunk);
+        } else {
+            pool.for_each(costs.chunks_mut(chunk).enumerate(), run_chunk);
+        }
     }
 
     fn commit(&self, name: &'static str, timing: &KernelTiming, launches: u64) {
