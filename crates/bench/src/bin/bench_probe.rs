@@ -504,11 +504,12 @@ struct BatchedSmallRow {
     gflops_interleaved: f64,
 }
 
-/// Host A/B of the batched-small tiers at one size: per-matrix `potf2`
-/// versus the cross-matrix interleaved lane kernel, batch 1000. Both
-/// timed loops pay one copy-in of the pristine input per matrix (the
-/// per-matrix loop skips the interleaved path's copy-out, slightly
-/// favoring the baseline — the honest direction).
+/// Host A/B of the batched-small tiers at one size, batch 1000:
+/// per-matrix `potf2` versus the interleaved route production runs
+/// (`pack_lanes` → `potrf_lanes` → `unpack_lane` per group, through
+/// `potrf_group`). Both timed loops read the pristine input once and
+/// write every factor once: the per-matrix loop copies in and factors
+/// in place, the interleaved loop packs from it and unpacks into `work`.
 fn probe_batched_small<T: Scalar>(out: &mut Vec<BatchedSmallRow>) {
     const BATCH: usize = 1000;
     let lanes = interleave::lane_count::<T>();
@@ -534,9 +535,6 @@ fn probe_batched_small<T: Scalar>(out: &mut Vec<BatchedSmallRow>) {
         });
 
         // BATCH is divisible by both lane widths: every group is full.
-        // The full-width tile (`group_tile_len`) lets the dispatcher
-        // fuse f64 group pairs into 8-lane AVX-512 sweeps where the
-        // host supports them.
         assert_eq!(BATCH % lanes, 0);
         let mut infos = vec![0i32; BATCH];
         let mut tile = vec![T::ZERO; interleave::group_tile_len(n)];
@@ -607,53 +605,6 @@ fn probe_tuning_gemm<T: Scalar>(out: &mut Vec<TuningGemmRow>) {
             gf / hand,
             gf / tuned_s,
             hand / tuned_s,
-        );
-    }
-}
-
-struct TuningSmallRow {
-    prec: &'static str,
-    n: usize,
-    gflops_narrow_tile: f64,
-    gflops_wide_tile: f64,
-}
-
-/// Narrow (4-lane `f64`) versus full-width interleave staging tile: on
-/// AVX-512 hosts the wide tile unlocks the fused 8-lane group-pair
-/// sweep; elsewhere both tiles take the same path and the rows tie.
-fn probe_tuning_small<T: Scalar>(out: &mut Vec<TuningSmallRow>) {
-    const BATCH: usize = 1000;
-    let lanes = interleave::lane_count::<T>();
-    for &n in &[4usize, 8, 16, 32] {
-        let mut rng = seeded_rng(6);
-        let mut pristine = Vec::with_capacity(BATCH * n * n);
-        for _ in 0..BATCH {
-            pristine.extend_from_slice(&spd_vec::<T>(&mut rng, n));
-        }
-        let mut work = pristine.clone();
-        let mut infos = vec![0i32; BATCH];
-        let gf = BATCH as f64 * flops::potrf(n) / 1e9;
-        let mut run = |tile_len: usize| {
-            let mut tile = vec![T::ZERO; tile_len];
-            time_best(|| {
-                interleave::potrf_group(n, &pristine, &mut work, &mut tile, &mut infos);
-                assert!(infos.iter().all(|&i| i == 0));
-            })
-        };
-        let narrow = run(interleave::interleaved_len(n, n, lanes));
-        let wide = run(interleave::group_tile_len(n));
-        out.push(TuningSmallRow {
-            prec: T::PREFIX,
-            n,
-            gflops_narrow_tile: gf / narrow,
-            gflops_wide_tile: gf / wide,
-        });
-        eprintln!(
-            "  {}potrf n={n:2} x{BATCH}: narrow tile {:6.2} | wide tile {:6.2} Gflop/s ({:.2}x)",
-            T::PREFIX,
-            gf / narrow,
-            gf / wide,
-            narrow / wide,
         );
     }
 }
@@ -754,10 +705,6 @@ fn main() {
     let mut tuning_gemm_rows = Vec::new();
     probe_tuning_gemm::<f32>(&mut tuning_gemm_rows);
     probe_tuning_gemm::<f64>(&mut tuning_gemm_rows);
-    eprintln!("probing tuning A/B (narrow vs wide interleave tile) ...");
-    let mut tuning_small_rows = Vec::new();
-    probe_tuning_small::<f32>(&mut tuning_small_rows);
-    probe_tuning_small::<f64>(&mut tuning_small_rows);
 
     // Simulated headline: fused vbatched DPOTRF on a uniform
     // variable-size batch (paper fig. 8 shape, scaled-down count).
@@ -971,23 +918,6 @@ fn main() {
             r.gflops_tuned / r.gflops_hand_picked
         );
         j.push_str(if i + 1 < tuning_gemm_rows.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    j.push_str("    ],\n    \"batched_small_interleave\": [\n");
-    for (i, r) in tuning_small_rows.iter().enumerate() {
-        let _ = write!(
-            j,
-            "      {{\"prec\": \"{}\", \"n\": {}, \"batch\": 1000, \"gflops_narrow_tile\": {:.3}, \"gflops_wide_tile\": {:.3}, \"speedup\": {:.2}}}",
-            r.prec,
-            r.n,
-            r.gflops_narrow_tile,
-            r.gflops_wide_tile,
-            r.gflops_wide_tile / r.gflops_narrow_tile
-        );
-        j.push_str(if i + 1 < tuning_small_rows.len() {
             ",\n"
         } else {
             "\n"

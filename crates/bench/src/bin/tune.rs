@@ -230,8 +230,9 @@ fn tune_gemm<T: Scalar>(p: &Profile) -> TileScheme {
 }
 
 /// A/B of the batched-small paths: per-matrix `potf2` versus the
-/// interleaved group kernel (full-width tile). Returns the largest
-/// probed order at which the interleaved path wins — the window router
+/// interleaved route production runs (`pack_lanes` → `potrf_lanes` →
+/// `unpack_lane` per group, through `potrf_group`). Returns the largest
+/// probed order at which the interleaved route wins — the window router
 /// sends `wmax ≤ cutoff` through it. Every interleaved result is
 /// oracle-checked against `potf2` bit-for-bit as it goes (the kernels
 /// carry that contract; a mismatch aborts the tuner).
@@ -259,7 +260,6 @@ fn tune_cutoff<T: Scalar>(p: &Profile) -> usize {
         let mut infos = vec![0i32; batch];
         let mut tile = vec![T::ZERO; interleave::group_tile_len(n)];
         let interleaved = time_best(p.budget, || {
-            work.copy_from_slice(&pristine);
             interleave::potrf_group(n, &pristine, &mut work, &mut tile, &mut infos);
         });
         assert!(infos.iter().all(|&i| i == 0), "SPD batch must not break");

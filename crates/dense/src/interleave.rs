@@ -23,19 +23,17 @@
 //! so dead lanes need no per-row masking, only the per-column live masks
 //! described below.
 //!
-//! **Bit-identity contract.** Every lane kernel performs, per lane, the
-//! *same floating-point operations in the same order* as the slice-tier
-//! reference it mirrors ([`crate::potf2`] Lower in-place,
-//! [`crate::level3::tier::gemm_small`], the slice-tier `syrk`/`trsm`
-//! substitutions). IEEE-754 arithmetic is lane-wise, so the vectorized
-//! results are bit-identical to the scalar tier — including breakdown
-//! detection: a non-positive pivot in one lane freezes that lane (all
-//! its subsequent stores are masked off, preserving the partially
-//! factored state the scalar routine would leave) without perturbing or
-//! terminating its lane-mates. The `_portable` entry points run the
-//! identical per-lane operation order without vector instructions; they
-//! are both the non-AVX2 fallback and the oracle the property tests
-//! compare the dispatched path against.
+//! **Bit-identity contract.** The lane kernel [`potrf_lanes`] performs,
+//! per lane, the *same floating-point operations in the same order* as
+//! [`crate::potf2`] Lower in place. IEEE-754 arithmetic is lane-wise, so
+//! the vectorized results are bit-identical to the scalar tier —
+//! including breakdown detection: a non-positive pivot in one lane
+//! freezes that lane (all its subsequent stores are masked off,
+//! preserving the partially factored state the scalar routine would
+//! leave) without perturbing or terminating its lane-mates.
+//! [`potrf_lanes_portable`] runs the identical per-lane operation order
+//! without vector instructions; it is both the non-AVX2 fallback and the
+//! oracle the property tests compare the dispatched path against.
 
 use crate::matrix::{MatMut, MatRef};
 use crate::scalar::Scalar;
@@ -60,14 +58,11 @@ pub fn interleaved_len(m: usize, n: usize, lanes: usize) -> usize {
     m * n * lanes
 }
 
-/// Host-side staging-tile length (in elements) for one order-`n` sweep
-/// through [`potrf_group`]: room for the widest lane grouping the
-/// dispatcher may choose — [`MAX_LANES`] lanes, i.e. two 4-lane `f64`
-/// groups fused into one 8-lane AVX-512 sweep (for `f32` this equals
-/// one ordinary group). Deliberately independent of the running host's
-/// features, so buffer shapes — like the AoSoA layout itself — are
-/// identical everywhere; a host without AVX-512 simply uses the front
-/// of the tile.
+/// Staging-tile length (in elements) that fits one order-`n` group of
+/// [`potrf_group`] in any supported precision: [`MAX_LANES`] lanes.
+/// Independent of `T` and of the running host, so buffer shapes — like
+/// the AoSoA layout itself — are identical everywhere; `f64` uses the
+/// front half.
 #[must_use]
 pub fn group_tile_len(n: usize) -> usize {
     interleaved_len(n, n, MAX_LANES)
@@ -148,111 +143,16 @@ pub fn unpack_lane<T: Scalar>(buf: &[T], m: usize, l: usize, mut dst: MatMut<'_,
     }
 }
 
-/// Packs one **full, uniform** lane group — [`lane_count`] col-major
-/// order-`n` matrices stored contiguously in `srcs` — into the
-/// interleaved buffer. The batch-throughput sibling of [`pack_lanes`]
-/// (bit-identical result for the same inputs): the uniform shape admits
-/// an in-register `L × L` block-transpose on AVX2, which is what makes
-/// the pack overhead negligible next to the factorization at n ≤ 32.
-///
-/// # Panics
-/// If `srcs` holds fewer than `L` order-`n` matrices or `buf` is
-/// shorter than [`interleaved_len`]`(n, n, L)`.
-pub fn pack_group<T: Scalar>(n: usize, srcs: &[T], buf: &mut [T]) {
-    let lanes = lane_count::<T>();
-    assert!(srcs.len() >= n * n * lanes, "pack_group: sources short");
-    assert!(
-        buf.len() >= interleaved_len(n, n, lanes),
-        "pack_group: buffer too small"
-    );
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    if x86::pack_group(n, srcs, buf) {
-        return;
-    }
-    pack_group_portable(n, srcs, buf);
-}
-
-/// Portable reference for [`pack_group`].
-///
-/// # Panics
-/// As [`pack_group`].
-pub fn pack_group_portable<T: Scalar>(n: usize, srcs: &[T], buf: &mut [T]) {
-    let lanes = lane_count::<T>();
-    assert!(srcs.len() >= n * n * lanes, "pack_group: sources short");
-    assert!(
-        buf.len() >= interleaved_len(n, n, lanes),
-        "pack_group: buffer too small"
-    );
-    for (l, src) in srcs.chunks_exact(n * n).take(lanes).enumerate() {
-        for (j, col) in src.chunks_exact(n).enumerate() {
-            let base = j * n * lanes;
-            for (chunk, &v) in buf[base..base + n * lanes].chunks_exact_mut(lanes).zip(col) {
-                chunk[l] = v;
-            }
-        }
-    }
-}
-
-/// Unpacks one full uniform lane group back into `dsts` (`L` contiguous
-/// col-major order-`n` matrices) — the exact inverse of [`pack_group`].
-///
-/// # Panics
-/// If `dsts` is shorter than `L` order-`n` matrices or `buf` is shorter
-/// than [`interleaved_len`]`(n, n, L)`.
-pub fn unpack_group<T: Scalar>(n: usize, buf: &[T], dsts: &mut [T]) {
-    let lanes = lane_count::<T>();
-    assert!(dsts.len() >= n * n * lanes, "unpack_group: dsts short");
-    assert!(
-        buf.len() >= interleaved_len(n, n, lanes),
-        "unpack_group: buffer too small"
-    );
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    if x86::unpack_group(n, buf, dsts) {
-        return;
-    }
-    unpack_group_portable(n, buf, dsts);
-}
-
-/// Portable reference for [`unpack_group`].
-///
-/// # Panics
-/// As [`unpack_group`].
-pub fn unpack_group_portable<T: Scalar>(n: usize, buf: &[T], dsts: &mut [T]) {
-    let lanes = lane_count::<T>();
-    assert!(dsts.len() >= n * n * lanes, "unpack_group: dsts short");
-    assert!(
-        buf.len() >= interleaved_len(n, n, lanes),
-        "unpack_group: buffer too small"
-    );
-    for (l, dst) in dsts.chunks_exact_mut(n * n).take(lanes).enumerate() {
-        for (j, col) in dst.chunks_exact_mut(n).enumerate() {
-            let base = j * n * lanes;
-            for (chunk, v) in buf[base..base + n * lanes].chunks_exact(lanes).zip(col) {
-                *v = chunk[l];
-            }
-        }
-    }
-}
-
 /// Factorizes a batch of **full uniform** lane groups in a single call:
-/// per group, [`pack_group`] `src` into `tile`, run [`potrf_lanes`] to
-/// order `n` on every lane, and [`unpack_group`] into `dst` (broken
-/// lanes unpack their partial factors; check `infos`). The group count
-/// is `src.len() / (n²·L)` — one dispatch for the whole sweep instead of
-/// three per group, the difference between winning and losing to the
-/// scalar tier at the smallest orders.
+/// `src` holds `src.len() / (n²·L)` groups of [`lane_count`] contiguous
+/// col-major order-`n` matrices. Each group runs the production route —
+/// [`pack_lanes`] into `tile`, [`potrf_lanes`] to order `n` on every
+/// lane, [`unpack_lane`] into `dst` — so the result is [`crate::potf2`]
+/// Lower's in-place result on a copy of `src`, strict upper triangle
+/// included (broken lanes unpack their partial factors; check `infos`).
 ///
-/// Writes each `dst` matrix's lower triangle and diagonal; the strict
-/// upper triangle is **unspecified** (the AVX2 path leaves `dst`'s
-/// prior contents, the portable path copies `src`'s). Pre-fill `dst`
-/// with `src` to get `potf2`'s exact in-place result.
-///
-/// Size `tile` with [`group_tile_len`]`(n)` to enable the widest
-/// dispatch the host supports — on AVX-512F machines the `f64` path
-/// then fuses consecutive 4-lane group pairs into 8-lane sweeps. A
-/// tile of only [`interleaved_len`]`(n, n, L)` still works everywhere
-/// but pins `f64` to the 4-lane path. Results are bit-identical either
-/// way.
+/// A `tile` of [`interleaved_len`]`(n, n, L)` elements is enough;
+/// [`group_tile_len`] sizes one that fits any precision.
 ///
 /// # Panics
 /// If `src` holds less than one full group, `dst` is shorter than
@@ -279,20 +179,23 @@ pub fn potrf_group<T: Scalar>(
     );
     assert!(infos.len() >= groups * lanes, "potrf_group: infos short");
     let ns = [n; MAX_LANES];
-    infos[..groups * lanes].fill(0);
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    if x86::potrf_group(n, groups, src, dst, tile, &ns[..lanes], infos) {
-        return;
-    }
-    for g in 0..groups {
-        pack_group_portable(n, &src[g * gsz..], tile);
-        potrf_lanes_portable(
-            tile,
-            n,
-            &ns[..lanes],
-            &mut infos[g * lanes..(g + 1) * lanes],
-        );
-        unpack_group_portable(n, tile, &mut dst[g * gsz..]);
+    for ((s, d), info) in src
+        .chunks_exact(gsz)
+        .zip(dst.chunks_exact_mut(gsz))
+        .zip(infos.chunks_exact_mut(lanes))
+    {
+        let srcs: [MatRef<'_, T>; MAX_LANES] = core::array::from_fn(|l| {
+            if l < lanes {
+                MatRef::from_slice(&s[l * n * n..], n, n, n)
+            } else {
+                MatRef::from_slice(&[], 0, 0, 1)
+            }
+        });
+        pack_lanes(n, n, &srcs[..lanes], tile);
+        potrf_lanes(tile, n, &ns[..lanes], info);
+        for (l, d) in d.chunks_exact_mut(n * n).enumerate() {
+            unpack_lane(tile, n, l, MatMut::from_slice(d, n, n, n));
+        }
     }
 }
 
@@ -316,6 +219,8 @@ pub fn potrf_group<T: Scalar>(
 /// order above `m`, or the buffer is shorter than the group.
 pub fn potrf_lanes<T: Scalar>(buf: &mut [T], m: usize, ns: &[usize], infos: &mut [i32]) {
     check_group::<T>(buf, m, ns, infos);
+    // The vector kernel writes only breakdown codes.
+    infos.fill(0);
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     if x86::potrf(buf, m, ns, infos) {
         return;
@@ -383,232 +288,6 @@ fn potrf_one_lane<T: Scalar>(buf: &mut [T], m: usize, lanes: usize, l: usize, n:
 }
 
 // ---------------------------------------------------------------------
-// gemm / syrk / trsm lanes — uniform group extents, per-lane data.
-// ---------------------------------------------------------------------
-
-/// Lane-parallel `C ← α·A·Bᵀ + β·C` (`gemm` NT, the Cholesky panel
-/// shape): per lane, `A` is `m × k`, `B` is `n × k`, `C` is `m × n`,
-/// each argument its own interleaved buffer (row counts `m`, `n`, `m`).
-/// Per lane bit-identical to [`crate::level3::tier::gemm_small`] with
-/// `(NoTrans, Trans)`.
-///
-/// # Panics
-/// If a buffer is shorter than its group extent requires.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_nt_lanes<T: Scalar>(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: T,
-    a: &[T],
-    b: &[T],
-    beta: T,
-    c: &mut [T],
-) {
-    check_gemm_group::<T>(m, n, k, a, b, c);
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    if x86::gemm_nt(m, n, k, alpha, a, b, beta, c) {
-        return;
-    }
-    gemm_nt_lanes_portable(m, n, k, alpha, a, b, beta, c);
-}
-
-/// Portable per-lane reference for [`gemm_nt_lanes`].
-///
-/// # Panics
-/// As [`gemm_nt_lanes`].
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_nt_lanes_portable<T: Scalar>(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: T,
-    a: &[T],
-    b: &[T],
-    beta: T,
-    c: &mut [T],
-) {
-    check_gemm_group::<T>(m, n, k, a, b, c);
-    let lanes = lane_count::<T>();
-    for l in 0..lanes {
-        for j in 0..n {
-            // β first (scale semantics: 0 overwrites, 1 is a no-op).
-            if beta == T::ZERO {
-                for i in 0..m {
-                    c[lane_index(m, lanes, i, j, l)] = T::ZERO;
-                }
-            } else if beta != T::ONE {
-                for i in 0..m {
-                    c[lane_index(m, lanes, i, j, l)] *= beta;
-                }
-            }
-            if alpha == T::ZERO {
-                continue;
-            }
-            for t in 0..k {
-                let w = alpha * b[lane_index(n, lanes, j, t, l)];
-                if w != T::ZERO {
-                    for i in 0..m {
-                        let ci = lane_index(m, lanes, i, j, l);
-                        c[ci] = w.mul_add(a[lane_index(m, lanes, i, t, l)], c[ci]);
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn check_gemm_group<T: Scalar>(m: usize, n: usize, k: usize, a: &[T], b: &[T], c: &[T]) {
-    let lanes = lane_count::<T>();
-    assert!(
-        a.len() >= interleaved_len(m, k, lanes),
-        "gemm lanes: A short"
-    );
-    assert!(
-        b.len() >= interleaved_len(n, k, lanes),
-        "gemm lanes: B short"
-    );
-    assert!(
-        c.len() >= interleaved_len(m, n, lanes),
-        "gemm lanes: C short"
-    );
-}
-
-/// Lane-parallel `syrk` (Lower, NoTrans): per lane
-/// `C ← α·A·Aᵀ + β·C` on the lower triangle only, `A` `n × k`, `C`
-/// `n × n`. Per lane bit-identical to the slice-tier [`crate::syrk`].
-///
-/// # Panics
-/// If a buffer is shorter than its group extent requires.
-pub fn syrk_ln_lanes<T: Scalar>(n: usize, k: usize, alpha: T, a: &[T], beta: T, c: &mut [T]) {
-    let lanes = lane_count::<T>();
-    assert!(
-        a.len() >= interleaved_len(n, k, lanes),
-        "syrk lanes: A short"
-    );
-    assert!(
-        c.len() >= interleaved_len(n, n, lanes),
-        "syrk lanes: C short"
-    );
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    if x86::syrk_ln(n, k, alpha, a, beta, c) {
-        return;
-    }
-    syrk_ln_lanes_portable(n, k, alpha, a, beta, c);
-}
-
-/// Portable per-lane reference for [`syrk_ln_lanes`].
-///
-/// # Panics
-/// As [`syrk_ln_lanes`].
-pub fn syrk_ln_lanes_portable<T: Scalar>(
-    n: usize,
-    k: usize,
-    alpha: T,
-    a: &[T],
-    beta: T,
-    c: &mut [T],
-) {
-    let lanes = lane_count::<T>();
-    assert!(
-        a.len() >= interleaved_len(n, k, lanes),
-        "syrk lanes: A short"
-    );
-    assert!(
-        c.len() >= interleaved_len(n, n, lanes),
-        "syrk lanes: C short"
-    );
-    for l in 0..lanes {
-        for j in 0..n {
-            if beta == T::ZERO {
-                for i in j..n {
-                    c[lane_index(n, lanes, i, j, l)] = T::ZERO;
-                }
-            } else if beta != T::ONE {
-                for i in j..n {
-                    c[lane_index(n, lanes, i, j, l)] *= beta;
-                }
-            }
-        }
-        if alpha == T::ZERO || k == 0 {
-            continue;
-        }
-        for t in 0..k {
-            for j in 0..n {
-                let w = alpha * a[lane_index(n, lanes, j, t, l)];
-                if w != T::ZERO {
-                    for i in j..n {
-                        let ci = lane_index(n, lanes, i, j, l);
-                        c[ci] = w.mul_add(a[lane_index(n, lanes, i, t, l)], c[ci]);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Lane-parallel `trsm` (Right, Lower, Trans, NonUnit, α = 1 — the
-/// Cholesky panel solve): per lane `B ← B·A⁻ᵀ`, `A` `n × n` lower
-/// non-unit, `B` `m × n`. Per lane bit-identical to the slice-tier
-/// [`crate::trsm`] substitution (forward column sweep). Lanes whose
-/// packed `A` diagonal is zero (absent lanes) produce unspecified
-/// values in their own lane only.
-///
-/// # Panics
-/// If a buffer is shorter than its group extent requires.
-pub fn trsm_rlt_lanes<T: Scalar>(m: usize, n: usize, a: &[T], b: &mut [T]) {
-    let lanes = lane_count::<T>();
-    assert!(
-        a.len() >= interleaved_len(n, n, lanes),
-        "trsm lanes: A short"
-    );
-    assert!(
-        b.len() >= interleaved_len(m, n, lanes),
-        "trsm lanes: B short"
-    );
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    if x86::trsm_rlt(m, n, a, b) {
-        return;
-    }
-    trsm_rlt_lanes_portable(m, n, a, b);
-}
-
-/// Portable per-lane reference for [`trsm_rlt_lanes`].
-///
-/// # Panics
-/// As [`trsm_rlt_lanes`].
-pub fn trsm_rlt_lanes_portable<T: Scalar>(m: usize, n: usize, a: &[T], b: &mut [T]) {
-    let lanes = lane_count::<T>();
-    assert!(
-        a.len() >= interleaved_len(n, n, lanes),
-        "trsm lanes: A short"
-    );
-    assert!(
-        b.len() >= interleaved_len(m, n, lanes),
-        "trsm lanes: B short"
-    );
-    for l in 0..lanes {
-        for j in 0..n {
-            for t in 0..j {
-                // op(A)(t, j) = A(j, t) under Trans.
-                let w = a[lane_index(n, lanes, j, t, l)];
-                if w != T::ZERO {
-                    let nw = -w;
-                    for i in 0..m {
-                        let bi = lane_index(m, lanes, i, j, l);
-                        b[bi] = nw.mul_add(b[lane_index(m, lanes, i, t, l)], b[bi]);
-                    }
-                }
-            }
-            let ajj = a[lane_index(n, lanes, j, j, l)];
-            for i in 0..m {
-                b[lane_index(m, lanes, i, j, l)] /= ajj;
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // AVX2+FMA lane kernels.
 // ---------------------------------------------------------------------
 
@@ -629,11 +308,6 @@ mod x86 {
         // `is_x86_feature_detected!` caches its answer in an atomic, so
         // the per-call cost is two relaxed loads.
         is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
-    }
-
-    #[inline]
-    fn wide_f64_available() -> bool {
-        is_x86_feature_detected!("avx512f")
     }
 
     pub(super) fn potrf<T: Scalar>(
@@ -658,989 +332,26 @@ mod x86 {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn gemm_nt<T: Scalar>(
-        m: usize,
-        n: usize,
-        k: usize,
-        alpha: T,
-        a: &[T],
-        b: &[T],
-        beta: T,
-        c: &mut [T],
-    ) -> bool {
-        if !simd_available() {
-            return false;
-        }
-        if TypeId::of::<T>() == TypeId::of::<f64>() {
-            // Safety: `T` is exactly `f64` and AVX2+FMA was detected.
-            unsafe {
-                gemm_nt_f64(
-                    m,
-                    n,
-                    k,
-                    scalar_as::<T, f64>(alpha),
-                    cast::<T, f64>(a),
-                    cast::<T, f64>(b),
-                    scalar_as::<T, f64>(beta),
-                    cast_mut::<T, f64>(c),
-                );
-            }
-            true
-        } else if TypeId::of::<T>() == TypeId::of::<f32>() {
-            // Safety: as above with `T` == `f32`.
-            unsafe {
-                gemm_nt_f32(
-                    m,
-                    n,
-                    k,
-                    scalar_as::<T, f32>(alpha),
-                    cast::<T, f32>(a),
-                    cast::<T, f32>(b),
-                    scalar_as::<T, f32>(beta),
-                    cast_mut::<T, f32>(c),
-                );
-            }
-            true
-        } else {
-            false
-        }
-    }
-
-    pub(super) fn syrk_ln<T: Scalar>(
-        n: usize,
-        k: usize,
-        alpha: T,
-        a: &[T],
-        beta: T,
-        c: &mut [T],
-    ) -> bool {
-        if !simd_available() {
-            return false;
-        }
-        if TypeId::of::<T>() == TypeId::of::<f64>() {
-            // Safety: `T` is exactly `f64` and AVX2+FMA was detected.
-            unsafe {
-                syrk_ln_f64(
-                    n,
-                    k,
-                    scalar_as::<T, f64>(alpha),
-                    cast::<T, f64>(a),
-                    scalar_as::<T, f64>(beta),
-                    cast_mut::<T, f64>(c),
-                );
-            }
-            true
-        } else if TypeId::of::<T>() == TypeId::of::<f32>() {
-            // Safety: as above with `T` == `f32`.
-            unsafe {
-                syrk_ln_f32(
-                    n,
-                    k,
-                    scalar_as::<T, f32>(alpha),
-                    cast::<T, f32>(a),
-                    scalar_as::<T, f32>(beta),
-                    cast_mut::<T, f32>(c),
-                );
-            }
-            true
-        } else {
-            false
-        }
-    }
-
-    pub(super) fn trsm_rlt<T: Scalar>(m: usize, n: usize, a: &[T], b: &mut [T]) -> bool {
-        if !simd_available() {
-            return false;
-        }
-        if TypeId::of::<T>() == TypeId::of::<f64>() {
-            // Safety: `T` is exactly `f64` and AVX2+FMA was detected.
-            unsafe { trsm_rlt_f64(m, n, cast::<T, f64>(a), cast_mut::<T, f64>(b)) };
-            true
-        } else if TypeId::of::<T>() == TypeId::of::<f32>() {
-            // Safety: as above with `T` == `f32`.
-            unsafe { trsm_rlt_f32(m, n, cast::<T, f32>(a), cast_mut::<T, f32>(b)) };
-            true
-        } else {
-            false
-        }
-    }
-
-    pub(super) fn pack_group<T: Scalar>(n: usize, srcs: &[T], buf: &mut [T]) -> bool {
-        if !simd_available() {
-            return false;
-        }
-        if TypeId::of::<T>() == TypeId::of::<f64>() {
-            // Safety: `T` is exactly `f64` and AVX2 was detected.
-            unsafe { pack_group_f64(n, cast::<T, f64>(srcs), cast_mut::<T, f64>(buf), false) };
-            true
-        } else if TypeId::of::<T>() == TypeId::of::<f32>() {
-            // Safety: as above with `T` == `f32`.
-            unsafe { pack_group_f32(n, cast::<T, f32>(srcs), cast_mut::<T, f32>(buf), false) };
-            true
-        } else {
-            false
-        }
-    }
-
-    pub(super) fn unpack_group<T: Scalar>(n: usize, buf: &[T], dsts: &mut [T]) -> bool {
-        if !simd_available() {
-            return false;
-        }
-        if TypeId::of::<T>() == TypeId::of::<f64>() {
-            // Safety: `T` is exactly `f64` and AVX2 was detected.
-            unsafe { unpack_group_f64(n, cast::<T, f64>(buf), cast_mut::<T, f64>(dsts), false) };
-            true
-        } else if TypeId::of::<T>() == TypeId::of::<f32>() {
-            // Safety: as above with `T` == `f32`.
-            unsafe { unpack_group_f32(n, cast::<T, f32>(buf), cast_mut::<T, f32>(dsts), false) };
-            true
-        } else {
-            false
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn potrf_group<T: Scalar>(
-        n: usize,
-        groups: usize,
-        src: &[T],
-        dst: &mut [T],
-        tile: &mut [T],
-        ns: &[usize],
-        infos: &mut [i32],
-    ) -> bool {
-        if !simd_available() {
-            return false;
-        }
-        if TypeId::of::<T>() == TypeId::of::<f64>() {
-            // Safety: `T` is exactly `f64` and AVX2+FMA were detected;
-            // the wide path additionally checks AVX-512F at runtime.
-            unsafe {
-                let src = cast::<T, f64>(src);
-                let dst = cast_mut::<T, f64>(dst);
-                let tile = cast_mut::<T, f64>(tile);
-                if n == 4 {
-                    potrf_group4_f64(groups, src, dst, tile, ns, infos);
-                } else {
-                    // Fuse consecutive 4-lane groups into 8-lane
-                    // AVX-512 sweeps when the host supports them and
-                    // the caller staged a full-width tile
-                    // ([`super::group_tile_len`]); narrow hosts and
-                    // narrow tiles keep the 4-lane path unchanged.
-                    let pairs = if wide_f64_available() && tile.len() >= n * n * 8 {
-                        groups / 2
-                    } else {
-                        0
-                    };
-                    if pairs > 0 {
-                        potrf_group_f64_w8(n, pairs, src, dst, tile, infos);
-                    }
-                    let g = pairs * 2;
-                    if g < groups {
-                        let gsz = n * n * 4;
-                        potrf_group_f64(
-                            n,
-                            groups - g,
-                            &src[g * gsz..],
-                            &mut dst[g * gsz..],
-                            tile,
-                            ns,
-                            &mut infos[g * 4..],
-                        );
-                    }
-                }
-            }
-            true
-        } else if TypeId::of::<T>() == TypeId::of::<f32>() {
-            // Safety: as above with `T` == `f32`.
-            unsafe {
-                potrf_group_f32(
-                    n,
-                    groups,
-                    cast::<T, f32>(src),
-                    cast_mut::<T, f32>(dst),
-                    cast_mut::<T, f32>(tile),
-                    ns,
-                    infos,
-                );
-            }
-            true
-        } else {
-            false
-        }
-    }
-
-    /// 4×4 `f64` register transpose.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn tr4(
-        v0: __m256d,
-        v1: __m256d,
-        v2: __m256d,
-        v3: __m256d,
-    ) -> (__m256d, __m256d, __m256d, __m256d) {
-        let t0 = _mm256_unpacklo_pd(v0, v1);
-        let t1 = _mm256_unpackhi_pd(v0, v1);
-        let t2 = _mm256_unpacklo_pd(v2, v3);
-        let t3 = _mm256_unpackhi_pd(v2, v3);
-        (
-            _mm256_permute2f128_pd(t0, t2, 0x20),
-            _mm256_permute2f128_pd(t1, t3, 0x20),
-            _mm256_permute2f128_pd(t0, t2, 0x31),
-            _mm256_permute2f128_pd(t1, t3, 0x31),
-        )
-    }
-
-    /// Fully in-register order-4 `f64` group factorization: the four
-    /// lane matrices live in sixteen vectors across the whole
-    /// pack → factor → unpack, with no staging tile and no loops.
-    /// Every operation is the scalar tier's, in the scalar tier's
-    /// order, so successful lanes are bit-identical to `potf2`.
-    /// Returns `false` — before touching `dst` — on any failed pivot
-    /// or any exactly-zero multiplier, so the caller can rerun the
-    /// group through the general masked kernel, which reproduces the
-    /// scalar tier's per-lane breakdown and skip semantics.
-    ///
-    /// # Safety
-    /// AVX2+FMA detected; `src`/`dst` hold at least one full group.
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn potrf4_f64(src: &[f64], dst: &mut [f64]) -> bool {
-        // SAFETY: fn contract — `src` and `dst` hold at least one full
-        // group (64 elements), so every offset below (max 60 + 4-wide
-        // access) is in bounds; unaligned loads/stores are used throughout.
-        unsafe {
-            const FULL: i32 = 0xF;
-            let s = src.as_ptr();
-            let zero = _mm256_setzero_pd();
-            let neg0 = _mm256_set1_pd(-0.0);
-            let inf = _mm256_set1_pd(f64::INFINITY);
-            let ok = |v: __m256d| {
-                let fine = _mm256_and_pd(
-                    _mm256_cmp_pd::<_CMP_GT_OQ>(v, zero),
-                    _mm256_cmp_pd::<_CMP_LT_OQ>(v, inf),
-                );
-                _mm256_movemask_pd(fine) == FULL
-            };
-            let nonzero =
-                |v: __m256d| _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_NEQ_UQ>(v, zero)) == FULL;
-            // Pack: x_ij holds element (i, j) of all four matrices.
-            let (x00, x10, x20, x30) = tr4(
-                _mm256_loadu_pd(s),
-                _mm256_loadu_pd(s.add(16)),
-                _mm256_loadu_pd(s.add(32)),
-                _mm256_loadu_pd(s.add(48)),
-            );
-            let (x01, x11, x21, x31) = tr4(
-                _mm256_loadu_pd(s.add(4)),
-                _mm256_loadu_pd(s.add(20)),
-                _mm256_loadu_pd(s.add(36)),
-                _mm256_loadu_pd(s.add(52)),
-            );
-            let (x02, x12, x22, x32) = tr4(
-                _mm256_loadu_pd(s.add(8)),
-                _mm256_loadu_pd(s.add(24)),
-                _mm256_loadu_pd(s.add(40)),
-                _mm256_loadu_pd(s.add(56)),
-            );
-            let (x03, x13, x23, x33) = tr4(
-                _mm256_loadu_pd(s.add(12)),
-                _mm256_loadu_pd(s.add(28)),
-                _mm256_loadu_pd(s.add(44)),
-                _mm256_loadu_pd(s.add(60)),
-            );
-            // Column 0.
-            if !ok(x00) {
-                return false;
-            }
-            let p0 = _mm256_sqrt_pd(x00);
-            let l10 = _mm256_div_pd(x10, p0);
-            let l20 = _mm256_div_pd(x20, p0);
-            let l30 = _mm256_div_pd(x30, p0);
-            // Column 1.
-            let a11 = _mm256_sub_pd(x11, _mm256_mul_pd(l10, l10));
-            if !ok(a11) || !nonzero(l10) {
-                return false;
-            }
-            let p1 = _mm256_sqrt_pd(a11);
-            let nw = _mm256_xor_pd(l10, neg0);
-            let l21 = _mm256_div_pd(_mm256_fmadd_pd(nw, l20, x21), p1);
-            let l31 = _mm256_div_pd(_mm256_fmadd_pd(nw, l30, x31), p1);
-            // Column 2.
-            let mut a22 = _mm256_sub_pd(x22, _mm256_mul_pd(l20, l20));
-            a22 = _mm256_sub_pd(a22, _mm256_mul_pd(l21, l21));
-            if !ok(a22) || !nonzero(l20) || !nonzero(l21) {
-                return false;
-            }
-            let p2 = _mm256_sqrt_pd(a22);
-            let mut t32 = _mm256_fmadd_pd(_mm256_xor_pd(l20, neg0), l30, x32);
-            t32 = _mm256_fmadd_pd(_mm256_xor_pd(l21, neg0), l31, t32);
-            let l32 = _mm256_div_pd(t32, p2);
-            // Column 3 (last: no trailing update or divide).
-            let mut a33 = _mm256_sub_pd(x33, _mm256_mul_pd(l30, l30));
-            a33 = _mm256_sub_pd(a33, _mm256_mul_pd(l31, l31));
-            a33 = _mm256_sub_pd(a33, _mm256_mul_pd(l32, l32));
-            if !ok(a33) {
-                return false;
-            }
-            let l33 = _mm256_sqrt_pd(a33);
-            // Unpack; strict upper elements carry their source values, the
-            // in-place behavior of the scalar tier.
-            let d = dst.as_mut_ptr();
-            let (c0, c1, c2, c3) = tr4(p0, l10, l20, l30);
-            _mm256_storeu_pd(d, c0);
-            _mm256_storeu_pd(d.add(16), c1);
-            _mm256_storeu_pd(d.add(32), c2);
-            _mm256_storeu_pd(d.add(48), c3);
-            let (c0, c1, c2, c3) = tr4(x01, p1, l21, l31);
-            _mm256_storeu_pd(d.add(4), c0);
-            _mm256_storeu_pd(d.add(20), c1);
-            _mm256_storeu_pd(d.add(36), c2);
-            _mm256_storeu_pd(d.add(52), c3);
-            let (c0, c1, c2, c3) = tr4(x02, x12, p2, l32);
-            _mm256_storeu_pd(d.add(8), c0);
-            _mm256_storeu_pd(d.add(24), c1);
-            _mm256_storeu_pd(d.add(40), c2);
-            _mm256_storeu_pd(d.add(56), c3);
-            let (c0, c1, c2, c3) = tr4(x03, x13, x23, l33);
-            _mm256_storeu_pd(d.add(12), c0);
-            _mm256_storeu_pd(d.add(28), c1);
-            _mm256_storeu_pd(d.add(44), c2);
-            _mm256_storeu_pd(d.add(60), c3);
-            true
-        }
-    }
-
-    /// Batch driver for [`potrf4_f64`]: the rare bail-outs rerun
-    /// through the general staged kernel.
-    ///
-    /// # Safety
-    /// As [`potrf4_f64`]; extents checked by the dispatching wrapper.
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn potrf_group4_f64(
-        groups: usize,
-        src: &[f64],
-        dst: &mut [f64],
-        tile: &mut [f64],
-        ns: &[usize],
-        infos: &mut [i32],
-    ) {
-        // SAFETY: fn contract — the dispatching wrapper checked that
-        // `src`/`dst` hold `groups` full groups, `tile` one group, and
-        // `infos` 4 slots per group, so every per-group slice below is in
-        // bounds and the callees’ extent contracts hold.
-        unsafe {
-            for g in 0..groups {
-                let s = &src[g * 64..];
-                if !potrf4_f64(s, &mut dst[g * 64..]) {
-                    pack_group_f64(4, s, tile, true);
-                    potrf_f64(tile, 4, ns, &mut infos[g * 4..]);
-                    unpack_group_f64(4, tile, &mut dst[g * 64..], true);
-                }
-            }
-        }
-    }
-
-    /// 8×8 `f32` register transpose.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn tr8(v: [__m256; 8]) -> [__m256; 8] {
-        let t0 = _mm256_unpacklo_ps(v[0], v[1]);
-        let t1 = _mm256_unpackhi_ps(v[0], v[1]);
-        let t2 = _mm256_unpacklo_ps(v[2], v[3]);
-        let t3 = _mm256_unpackhi_ps(v[2], v[3]);
-        let t4 = _mm256_unpacklo_ps(v[4], v[5]);
-        let t5 = _mm256_unpackhi_ps(v[4], v[5]);
-        let t6 = _mm256_unpacklo_ps(v[6], v[7]);
-        let t7 = _mm256_unpackhi_ps(v[6], v[7]);
-        let u0 = _mm256_shuffle_ps::<0x44>(t0, t2);
-        let u1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
-        let u2 = _mm256_shuffle_ps::<0x44>(t1, t3);
-        let u3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
-        let u4 = _mm256_shuffle_ps::<0x44>(t4, t6);
-        let u5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
-        let u6 = _mm256_shuffle_ps::<0x44>(t5, t7);
-        let u7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
-        [
-            _mm256_permute2f128_ps(u0, u4, 0x20),
-            _mm256_permute2f128_ps(u1, u5, 0x20),
-            _mm256_permute2f128_ps(u2, u6, 0x20),
-            _mm256_permute2f128_ps(u3, u7, 0x20),
-            _mm256_permute2f128_ps(u0, u4, 0x31),
-            _mm256_permute2f128_ps(u1, u5, 0x31),
-            _mm256_permute2f128_ps(u2, u6, 0x31),
-            _mm256_permute2f128_ps(u3, u7, 0x31),
-        ]
-    }
-
-    /// # Safety
-    /// AVX2 detected; slice extents checked by the dispatching wrapper.
-    /// `lower` restricts each column to its block-aligned lower
-    /// triangle (`i ≥ j & !3`) — everything a Lower factorization
-    /// touches — halving the moved bytes.
-    #[target_feature(enable = "avx2")]
-    unsafe fn pack_group_f64(n: usize, srcs: &[f64], buf: &mut [f64], lower: bool) {
-        // SAFETY: fn contract — `srcs` holds 4 n×n matrices and `buf` one
-        // interleaved group (4·n·n), so column bases `l·n² + j·n` and the
-        // 4-wide row accesses at `i ≤ n−4` (scalar tail below n) stay in
-        // bounds for both slices.
-        unsafe {
-            let s = srcs.as_ptr();
-            let o = buf.as_mut_ptr();
-            let mm = n * n;
-            for j in 0..n {
-                let c0 = s.add(j * n);
-                let c1 = s.add(mm + j * n);
-                let c2 = s.add(2 * mm + j * n);
-                let c3 = s.add(3 * mm + j * n);
-                let ob = o.add(j * n * 4);
-                let mut i = if lower { j & !3 } else { 0 };
-                while i + 4 <= n {
-                    let (r0, r1, r2, r3) = tr4(
-                        _mm256_loadu_pd(c0.add(i)),
-                        _mm256_loadu_pd(c1.add(i)),
-                        _mm256_loadu_pd(c2.add(i)),
-                        _mm256_loadu_pd(c3.add(i)),
-                    );
-                    _mm256_storeu_pd(ob.add(i * 4), r0);
-                    _mm256_storeu_pd(ob.add(i * 4 + 4), r1);
-                    _mm256_storeu_pd(ob.add(i * 4 + 8), r2);
-                    _mm256_storeu_pd(ob.add(i * 4 + 12), r3);
-                    i += 4;
-                }
-                while i < n {
-                    *ob.add(i * 4) = *c0.add(i);
-                    *ob.add(i * 4 + 1) = *c1.add(i);
-                    *ob.add(i * 4 + 2) = *c2.add(i);
-                    *ob.add(i * 4 + 3) = *c3.add(i);
-                    i += 1;
-                }
-            }
-        }
-    }
-
-    /// # Safety
-    /// As [`pack_group_f64`].
-    #[target_feature(enable = "avx2")]
-    unsafe fn unpack_group_f64(n: usize, buf: &[f64], dsts: &mut [f64], lower: bool) {
-        // SAFETY: fn contract — mirror of `pack_group_f64`: `buf` holds one
-        // interleaved group and `dsts` 4 n×n matrices, same in-bounds
-        // offset argument with loads and stores exchanged.
-        unsafe {
-            let b = buf.as_ptr();
-            let d = dsts.as_mut_ptr();
-            let mm = n * n;
-            for j in 0..n {
-                let c0 = d.add(j * n);
-                let c1 = d.add(mm + j * n);
-                let c2 = d.add(2 * mm + j * n);
-                let c3 = d.add(3 * mm + j * n);
-                let ib = b.add(j * n * 4);
-                let mut i = if lower { j & !3 } else { 0 };
-                while i + 4 <= n {
-                    let (r0, r1, r2, r3) = tr4(
-                        _mm256_loadu_pd(ib.add(i * 4)),
-                        _mm256_loadu_pd(ib.add(i * 4 + 4)),
-                        _mm256_loadu_pd(ib.add(i * 4 + 8)),
-                        _mm256_loadu_pd(ib.add(i * 4 + 12)),
-                    );
-                    _mm256_storeu_pd(c0.add(i), r0);
-                    _mm256_storeu_pd(c1.add(i), r1);
-                    _mm256_storeu_pd(c2.add(i), r2);
-                    _mm256_storeu_pd(c3.add(i), r3);
-                    i += 4;
-                }
-                while i < n {
-                    *c0.add(i) = *ib.add(i * 4);
-                    *c1.add(i) = *ib.add(i * 4 + 1);
-                    *c2.add(i) = *ib.add(i * 4 + 2);
-                    *c3.add(i) = *ib.add(i * 4 + 3);
-                    i += 1;
-                }
-            }
-        }
-    }
-
-    /// Stride-8 variant of [`pack_group_f64`]: register-transposes the
-    /// eight matrices of two consecutive 4-lane groups into one 8-lane
-    /// tile so a single AVX-512 sweep factors both. Two `tr4` half
-    /// transposes per 4-row block (one per group) rather than an 8-row
-    /// f64 tr8 — deliberately, so the block-aligned lower-triangle
-    /// restriction stays `i ≥ j & !3` and the set of elements moved
-    /// (and therefore the bytes written back to `dst` on unpack) is
-    /// exactly the narrow path's.
-    ///
-    /// # Safety
-    /// AVX2 detected; `srcs` holds 8 n×n matrices and `buf` one 8-lane
-    /// interleaved group (n·n·8 elements).
-    #[target_feature(enable = "avx2")]
-    unsafe fn pack_pair_f64_w8(n: usize, srcs: &[f64], buf: &mut [f64]) {
-        // SAFETY: fn contract — lane bases `l·n² + j·n` for l < 8 plus
-        // 4-wide row accesses at `i ≤ n−4` (scalar tail below n) stay
-        // inside the 8·n² source; tile offsets reach at most
-        // `(n−1)·8 + (n−1)·n·8 + 7 < n·n·8`.
-        unsafe {
-            let s = srcs.as_ptr();
-            let o = buf.as_mut_ptr();
-            let mm = n * n;
-            for j in 0..n {
-                let mut cols = [core::ptr::null::<f64>(); 8];
-                for (l, c) in cols.iter_mut().enumerate() {
-                    *c = s.add(l * mm + j * n);
-                }
-                let ob = o.add(j * n * 8);
-                let mut i = j & !3;
-                while i + 4 <= n {
-                    for h in 0..2 {
-                        let (r0, r1, r2, r3) = tr4(
-                            _mm256_loadu_pd(cols[4 * h].add(i)),
-                            _mm256_loadu_pd(cols[4 * h + 1].add(i)),
-                            _mm256_loadu_pd(cols[4 * h + 2].add(i)),
-                            _mm256_loadu_pd(cols[4 * h + 3].add(i)),
-                        );
-                        _mm256_storeu_pd(ob.add(i * 8 + h * 4), r0);
-                        _mm256_storeu_pd(ob.add((i + 1) * 8 + h * 4), r1);
-                        _mm256_storeu_pd(ob.add((i + 2) * 8 + h * 4), r2);
-                        _mm256_storeu_pd(ob.add((i + 3) * 8 + h * 4), r3);
-                    }
-                    i += 4;
-                }
-                while i < n {
-                    for (l, c) in cols.iter().enumerate() {
-                        *ob.add(i * 8 + l) = *c.add(i);
-                    }
-                    i += 1;
-                }
-            }
-        }
-    }
-
-    /// # Safety
-    /// As [`pack_pair_f64_w8`], with `buf` read and `dsts` written.
-    #[target_feature(enable = "avx2")]
-    unsafe fn unpack_pair_f64_w8(n: usize, buf: &[f64], dsts: &mut [f64]) {
-        // SAFETY: fn contract — mirror of `pack_pair_f64_w8` with loads
-        // and stores exchanged; same in-bounds offset argument.
-        unsafe {
-            let b = buf.as_ptr();
-            let d = dsts.as_mut_ptr();
-            let mm = n * n;
-            for j in 0..n {
-                let mut cols = [core::ptr::null_mut::<f64>(); 8];
-                for (l, c) in cols.iter_mut().enumerate() {
-                    *c = d.add(l * mm + j * n);
-                }
-                let ib = b.add(j * n * 8);
-                let mut i = j & !3;
-                while i + 4 <= n {
-                    for h in 0..2 {
-                        let (r0, r1, r2, r3) = tr4(
-                            _mm256_loadu_pd(ib.add(i * 8 + h * 4)),
-                            _mm256_loadu_pd(ib.add((i + 1) * 8 + h * 4)),
-                            _mm256_loadu_pd(ib.add((i + 2) * 8 + h * 4)),
-                            _mm256_loadu_pd(ib.add((i + 3) * 8 + h * 4)),
-                        );
-                        _mm256_storeu_pd(cols[4 * h].add(i), r0);
-                        _mm256_storeu_pd(cols[4 * h + 1].add(i), r1);
-                        _mm256_storeu_pd(cols[4 * h + 2].add(i), r2);
-                        _mm256_storeu_pd(cols[4 * h + 3].add(i), r3);
-                    }
-                    i += 4;
-                }
-                while i < n {
-                    for (l, c) in cols.iter().enumerate() {
-                        *c.add(i) = *ib.add(i * 8 + l);
-                    }
-                    i += 1;
-                }
-            }
-        }
-    }
-
-    /// 8-lane AVX-512 port of the 4-lane `f64` lane kernel
-    /// (`potrf_f64`), specialized to the uniform groups `potrf_group`
-    /// builds: all eight lanes share one order `m`, so the per-lane
-    /// end-of-order tracking drops out and the live mask starts full.
-    /// Lane predicates live in `__mmask8` registers instead of
-    /// sign-bit vectors, with masked stores replacing blends — the
-    /// bytes written are the same. Every arithmetic operation and its
-    /// order is exactly the 4-lane kernel's (lane width never enters
-    /// the value computation), so surviving lanes stay bit-identical
-    /// to `potf2`. Sign flips go through an integer-domain xor because
-    /// `_mm512_xor_pd` would need AVX-512DQ and only AVX-512F is
-    /// required here.
-    ///
-    /// # Safety
-    /// AVX-512F detected; `buf` holds one 8-lane interleaved m×m group
-    /// (m·m·8 elements) and `infos` at least 8 entries.
-    // Indexed `0..j` loops mirror the column recurrence (and the macro
-    // kernel's shape); `nws[t]` rides along with `at(i, t)` loads.
-    #[allow(clippy::needless_range_loop)]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn potrf8_f64(buf: &mut [f64], m: usize, infos: &mut [i32]) {
-        // SAFETY: fn contract — every `at(i, j)` offset with i, j < m
-        // is an in-bounds 8-wide access into the m·m·8 tile; `infos`
-        // is indexed by lane bits l < 8.
-        unsafe {
-            const FULL: u8 = 0xFF;
-            const NWS: usize = 16;
-            let mut nws = [_mm512_setzero_pd(); NWS];
-            let p = buf.as_mut_ptr();
-            let at = |i: usize, j: usize| (j * m + i) * 8;
-            let zero = _mm512_setzero_pd();
-            let neg0 = _mm512_set1_pd(-0.0);
-            let inf = _mm512_set1_pd(f64::INFINITY);
-            let neg = |v: __m512d| {
-                _mm512_castsi512_pd(_mm512_xor_epi64(
-                    _mm512_castpd_si512(v),
-                    _mm512_castpd_si512(neg0),
-                ))
-            };
-            let mut lm: u8 = FULL;
-            for j in 0..m {
-                if lm == 0 {
-                    break;
-                }
-                // ajj ← a(j,j) − Σ a(j,t)² — sequential mul-then-sub,
-                // the scalar tier's rounding sequence (no fused op);
-                // the fast path's nonzero test and, at small orders,
-                // its negated-multiplier stash ride along.
-                let mut ajj = _mm512_loadu_pd(p.add(at(j, j)));
-                let mut nz: u8 = lm;
-                if m <= NWS {
-                    for t in 0..j {
-                        let v = _mm512_loadu_pd(p.add(at(j, t)));
-                        ajj = _mm512_sub_pd(ajj, _mm512_mul_pd(v, v));
-                        nz &= _mm512_cmp_pd_mask::<_CMP_NEQ_UQ>(v, zero);
-                        nws[t] = neg(v);
-                    }
-                } else {
-                    for t in 0..j {
-                        let v = _mm512_loadu_pd(p.add(at(j, t)));
-                        ajj = _mm512_sub_pd(ajj, _mm512_mul_pd(v, v));
-                        nz &= _mm512_cmp_pd_mask::<_CMP_NEQ_UQ>(v, zero);
-                    }
-                }
-                // Same predicate as the scalar tier's
-                // `ajj <= 0 || !ajj.is_finite()`: positive AND below
-                // +∞ (NaN fails both ordered compares).
-                let ok = _mm512_cmp_pd_mask::<_CMP_GT_OQ>(ajj, zero)
-                    & _mm512_cmp_pd_mask::<_CMP_LT_OQ>(ajj, inf);
-                let dead = !ok & lm;
-                if dead != 0 {
-                    for (l, info) in infos.iter_mut().enumerate().take(8) {
-                        if dead & (1 << l) != 0 {
-                            *info = (j + 1) as i32;
-                        }
-                    }
-                    lm &= ok;
-                    if lm == 0 {
-                        continue;
-                    }
-                }
-                let piv = _mm512_sqrt_pd(ajj);
-                if lm == FULL {
-                    _mm512_storeu_pd(p.add(at(j, j)), piv);
-                } else {
-                    _mm512_mask_storeu_pd(p.add(at(j, j)), lm, piv);
-                }
-                if j + 1 == m {
-                    continue;
-                }
-                // Fast path: every lane live, every multiplier
-                // nonzero — same i-outer register accumulation (and
-                // rounding sequence) as the 4-lane kernel.
-                let fast = lm == FULL && nz == FULL;
-                if fast && m < 12 {
-                    for i in (j + 1)..m {
-                        let mut acc = _mm512_loadu_pd(p.add(at(i, j)));
-                        for t in 0..j {
-                            acc = _mm512_fmadd_pd(nws[t], _mm512_loadu_pd(p.add(at(i, t))), acc);
-                        }
-                        _mm512_storeu_pd(p.add(at(i, j)), _mm512_div_pd(acc, piv));
-                    }
-                    continue;
-                }
-                if fast && m <= NWS {
-                    let mut i = j + 1;
-                    while i + 4 <= m {
-                        let mut a0 = _mm512_loadu_pd(p.add(at(i, j)));
-                        let mut a1 = _mm512_loadu_pd(p.add(at(i + 1, j)));
-                        let mut a2 = _mm512_loadu_pd(p.add(at(i + 2, j)));
-                        let mut a3 = _mm512_loadu_pd(p.add(at(i + 3, j)));
-                        for t in 0..j {
-                            let nw = nws[t];
-                            a0 = _mm512_fmadd_pd(nw, _mm512_loadu_pd(p.add(at(i, t))), a0);
-                            a1 = _mm512_fmadd_pd(nw, _mm512_loadu_pd(p.add(at(i + 1, t))), a1);
-                            a2 = _mm512_fmadd_pd(nw, _mm512_loadu_pd(p.add(at(i + 2, t))), a2);
-                            a3 = _mm512_fmadd_pd(nw, _mm512_loadu_pd(p.add(at(i + 3, t))), a3);
-                        }
-                        _mm512_storeu_pd(p.add(at(i, j)), _mm512_div_pd(a0, piv));
-                        _mm512_storeu_pd(p.add(at(i + 1, j)), _mm512_div_pd(a1, piv));
-                        _mm512_storeu_pd(p.add(at(i + 2, j)), _mm512_div_pd(a2, piv));
-                        _mm512_storeu_pd(p.add(at(i + 3, j)), _mm512_div_pd(a3, piv));
-                        i += 4;
-                    }
-                    while i < m {
-                        let mut acc = _mm512_loadu_pd(p.add(at(i, j)));
-                        for t in 0..j {
-                            acc = _mm512_fmadd_pd(nws[t], _mm512_loadu_pd(p.add(at(i, t))), acc);
-                        }
-                        _mm512_storeu_pd(p.add(at(i, j)), _mm512_div_pd(acc, piv));
-                        i += 1;
-                    }
-                    continue;
-                }
-                if fast {
-                    let mut i = j + 1;
-                    while i + 4 <= m {
-                        let mut a0 = _mm512_loadu_pd(p.add(at(i, j)));
-                        let mut a1 = _mm512_loadu_pd(p.add(at(i + 1, j)));
-                        let mut a2 = _mm512_loadu_pd(p.add(at(i + 2, j)));
-                        let mut a3 = _mm512_loadu_pd(p.add(at(i + 3, j)));
-                        for t in 0..j {
-                            let nw = neg(_mm512_loadu_pd(p.add(at(j, t))));
-                            a0 = _mm512_fmadd_pd(nw, _mm512_loadu_pd(p.add(at(i, t))), a0);
-                            a1 = _mm512_fmadd_pd(nw, _mm512_loadu_pd(p.add(at(i + 1, t))), a1);
-                            a2 = _mm512_fmadd_pd(nw, _mm512_loadu_pd(p.add(at(i + 2, t))), a2);
-                            a3 = _mm512_fmadd_pd(nw, _mm512_loadu_pd(p.add(at(i + 3, t))), a3);
-                        }
-                        _mm512_storeu_pd(p.add(at(i, j)), _mm512_div_pd(a0, piv));
-                        _mm512_storeu_pd(p.add(at(i + 1, j)), _mm512_div_pd(a1, piv));
-                        _mm512_storeu_pd(p.add(at(i + 2, j)), _mm512_div_pd(a2, piv));
-                        _mm512_storeu_pd(p.add(at(i + 3, j)), _mm512_div_pd(a3, piv));
-                        i += 4;
-                    }
-                    while i < m {
-                        let mut acc = _mm512_loadu_pd(p.add(at(i, j)));
-                        for t in 0..j {
-                            let nw = neg(_mm512_loadu_pd(p.add(at(j, t))));
-                            acc = _mm512_fmadd_pd(nw, _mm512_loadu_pd(p.add(at(i, t))), acc);
-                        }
-                        _mm512_storeu_pd(p.add(at(i, j)), _mm512_div_pd(acc, piv));
-                        i += 1;
-                    }
-                    continue;
-                }
-                // General masked path: skip exactly-zero multipliers
-                // per lane (the scalar tier's `w == 0` skip), then the
-                // masked divide.
-                for t in 0..j {
-                    let w = _mm512_loadu_pd(p.add(at(j, t)));
-                    let wm = lm & _mm512_cmp_pd_mask::<_CMP_NEQ_UQ>(w, zero);
-                    if wm == 0 {
-                        continue;
-                    }
-                    let nw = neg(w);
-                    if wm == FULL {
-                        for i in (j + 1)..m {
-                            let cv = _mm512_loadu_pd(p.add(at(i, j)));
-                            let av = _mm512_loadu_pd(p.add(at(i, t)));
-                            _mm512_storeu_pd(p.add(at(i, j)), _mm512_fmadd_pd(nw, av, cv));
-                        }
-                    } else {
-                        for i in (j + 1)..m {
-                            let cv = _mm512_loadu_pd(p.add(at(i, j)));
-                            let av = _mm512_loadu_pd(p.add(at(i, t)));
-                            let r = _mm512_fmadd_pd(nw, av, cv);
-                            _mm512_mask_storeu_pd(p.add(at(i, j)), wm, r);
-                        }
-                    }
-                }
-                if lm == FULL {
-                    for i in (j + 1)..m {
-                        let cv = _mm512_loadu_pd(p.add(at(i, j)));
-                        _mm512_storeu_pd(p.add(at(i, j)), _mm512_div_pd(cv, piv));
-                    }
-                } else {
-                    for i in (j + 1)..m {
-                        let cv = _mm512_loadu_pd(p.add(at(i, j)));
-                        let r = _mm512_div_pd(cv, piv);
-                        _mm512_mask_storeu_pd(p.add(at(i, j)), lm, r);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Pack → factor → unpack for two consecutive 4-lane groups fused
-    /// into one 8-lane AVX-512 sweep. Lane `l` of the wide tile is
-    /// matrix `l` of the pair, so each pair's `infos` slots stay
-    /// contiguous. The per-lane value computation is the 4-lane
-    /// kernel's exactly, so the factors (and breakdown columns) are
-    /// bit-identical to the narrow path — and therefore to `potf2`.
-    ///
-    /// # Safety
-    /// AVX2+FMA+AVX-512F detected; `src`/`dst` hold `2·pairs`
-    /// interleaved 4-lane groups of order `n`, `tile` holds n·n·8
-    /// elements, and `infos` holds 8 entries per pair.
-    #[target_feature(enable = "avx2,fma,avx512f")]
-    unsafe fn potrf_group_f64_w8(
-        n: usize,
-        pairs: usize,
-        src: &[f64],
-        dst: &mut [f64],
-        tile: &mut [f64],
-        infos: &mut [i32],
-    ) {
-        // SAFETY: fn contract — each pair consumes 8·n² source and
-        // destination elements plus 8 info slots, in bounds by the
-        // extent contract; the callees' contracts are met by
-        // construction.
-        unsafe {
-            let gsz = n * n * 4;
-            for h in 0..pairs {
-                pack_pair_f64_w8(n, &src[h * 2 * gsz..], tile);
-                potrf8_f64(tile, n, &mut infos[h * 8..]);
-                unpack_pair_f64_w8(n, tile, &mut dst[h * 2 * gsz..]);
-            }
-        }
-    }
-
-    /// # Safety
-    /// As [`pack_group_f64`].
-    #[target_feature(enable = "avx2")]
-    unsafe fn pack_group_f32(n: usize, srcs: &[f32], buf: &mut [f32], lower: bool) {
-        // SAFETY: fn contract — `srcs` holds 8 n×n matrices and `buf` one
-        // interleaved group (8·n·n); lane bases `l·n² + j·n` and 8-wide row
-        // accesses at `i ≤ n−8` (scalar tail below n) stay in bounds.
-        unsafe {
-            let s = srcs.as_ptr();
-            let o = buf.as_mut_ptr();
-            let mm = n * n;
-            for j in 0..n {
-                let mut cols = [core::ptr::null::<f32>(); 8];
-                for (l, c) in cols.iter_mut().enumerate() {
-                    *c = s.add(l * mm + j * n);
-                }
-                let ob = o.add(j * n * 8);
-                let mut i = if lower { j & !7 } else { 0 };
-                while i + 8 <= n {
-                    let mut v = [_mm256_setzero_ps(); 8];
-                    for (l, c) in cols.iter().enumerate() {
-                        v[l] = _mm256_loadu_ps(c.add(i));
-                    }
-                    let r = tr8(v);
-                    for (k, rv) in r.iter().enumerate() {
-                        _mm256_storeu_ps(ob.add((i + k) * 8), *rv);
-                    }
-                    i += 8;
-                }
-                while i < n {
-                    for (l, c) in cols.iter().enumerate() {
-                        *ob.add(i * 8 + l) = *c.add(i);
-                    }
-                    i += 1;
-                }
-            }
-        }
-    }
-
-    /// # Safety
-    /// As [`pack_group_f64`].
-    #[target_feature(enable = "avx2")]
-    unsafe fn unpack_group_f32(n: usize, buf: &[f32], dsts: &mut [f32], lower: bool) {
-        // SAFETY: fn contract — mirror of `pack_group_f32` with loads and
-        // stores exchanged; same extent argument.
-        unsafe {
-            let b = buf.as_ptr();
-            let d = dsts.as_mut_ptr();
-            let mm = n * n;
-            for j in 0..n {
-                let mut cols = [core::ptr::null_mut::<f32>(); 8];
-                for (l, c) in cols.iter_mut().enumerate() {
-                    *c = d.add(l * mm + j * n);
-                }
-                let ib = b.add(j * n * 8);
-                let mut i = if lower { j & !7 } else { 0 };
-                while i + 8 <= n {
-                    let mut v = [_mm256_setzero_ps(); 8];
-                    for (k, vv) in v.iter_mut().enumerate() {
-                        *vv = _mm256_loadu_ps(ib.add((i + k) * 8));
-                    }
-                    let r = tr8(v);
-                    for (l, c) in cols.iter().enumerate() {
-                        _mm256_storeu_ps(c.add(i), r[l]);
-                    }
-                    i += 8;
-                }
-                while i < n {
-                    for (l, c) in cols.iter().enumerate() {
-                        *c.add(i) = *ib.add(i * 8 + l);
-                    }
-                    i += 1;
-                }
-            }
-        }
-    }
-
-    fn cast<T: Scalar, U: 'static>(s: &[T]) -> &[U] {
-        debug_assert_eq!(TypeId::of::<T>(), TypeId::of::<U>(), "cast: type mismatch");
-        // Safety: caller matched the TypeIds; identical layout.
-        unsafe { core::slice::from_raw_parts(s.as_ptr().cast::<U>(), s.len()) }
-    }
-
     fn cast_mut<T: Scalar, U: 'static>(s: &mut [T]) -> &mut [U] {
         debug_assert_eq!(TypeId::of::<T>(), TypeId::of::<U>(), "cast: type mismatch");
         // Safety: caller matched the TypeIds; identical layout.
         unsafe { core::slice::from_raw_parts_mut(s.as_mut_ptr().cast::<U>(), s.len()) }
     }
 
-    fn scalar_as<T: Scalar, U: Copy + 'static>(v: T) -> U {
-        debug_assert_eq!(TypeId::of::<T>(), TypeId::of::<U>(), "cast: type mismatch");
-        // Safety: caller matched the TypeIds; identical layout.
-        unsafe { *core::ptr::from_ref(&v).cast::<U>() }
-    }
-
-    /// Generates the four lane kernels for one precision. Masks are
+    /// Generates the lane potrf kernel for one precision. Masks are
     /// full-width all-ones/all-zero vectors (`blendv` keys on the sign
     /// bit, which all-ones sets); live-lane masks are rebuilt per
     /// column from lane state, `w != 0` masks come from an unordered
     /// `NEQ` compare (matching Rust's `!=` on NaN).
     macro_rules! lane_kernels {
         (
-            $ty:ty, $lanes:expr, $vec:ty,
+            $ty:ty, $lanes:expr,
             $loadu:ident, $storeu:ident, $set1:ident, $setzero:ident,
-            $add:ident, $sub:ident, $mul:ident, $div:ident, $sqrt:ident,
+            $sub:ident, $mul:ident, $div:ident, $sqrt:ident,
             $fmadd:ident, $blendv:ident, $and:ident, $andnot:ident, $xor:ident,
             $cmp:ident, $movemask:ident,
-            $potrf:ident, $gemm:ident, $syrk:ident, $trsm:ident,
-            $pack:ident, $unpack:ident, $fused:ident
+            $potrf:ident
         ) => {
-            /// Pack → factor → unpack for one full uniform group in a
-            /// single `target_feature` region: one dispatch per group
-            /// and the three stages inline together, which is what
-            /// keeps the per-group overhead below the factorization
-            /// cost at the smallest orders. Only the block-aligned
-            /// lower triangle moves — the factorization never reads
-            /// above the diagonal, and `dst` keeps its own strict
-            /// upper triangle (potf2's in-place behavior).
-            ///
-            /// # Safety
-            /// As the potrf kernel.
-            #[target_feature(enable = "avx2,fma")]
-            unsafe fn $fused(
-                n: usize,
-                groups: usize,
-                src: &[$ty],
-                dst: &mut [$ty],
-                tile: &mut [$ty],
-                ns: &[usize],
-                infos: &mut [i32],
-            ) {
-                // SAFETY: fn contract — the dispatching wrapper sized `src`/`dst`
-                // as `groups` interleaved groups, `tile` as one group and `infos`
-                // as one lane-set per group, so the per-group slices handed to the
-                // pack/factor/unpack callees satisfy their extent contracts.
-                unsafe {
-                    let gsz = n * n * $lanes;
-                    for g in 0..groups {
-                        $pack(n, &src[g * gsz..], tile, true);
-                        $potrf(tile, n, ns, &mut infos[g * $lanes..]);
-                        $unpack(n, tile, &mut dst[g * gsz..], true);
-                    }
-                }
-            }
             /// # Safety
             /// Caller must have verified AVX2+FMA support; buffer
             /// extents checked by the dispatching wrapper.
@@ -1870,154 +581,16 @@ mod x86 {
                     }
                 }
             }
-
-            /// # Safety
-            /// As the potrf kernel.
-            #[allow(clippy::too_many_arguments)]
-            #[target_feature(enable = "avx2,fma")]
-            unsafe fn $gemm(
-                m: usize,
-                n: usize,
-                k: usize,
-                alpha: $ty,
-                a: &[$ty],
-                b: &[$ty],
-                beta: $ty,
-                c: &mut [$ty],
-            ) {
-                // SAFETY: fn contract — `a`, `b`, `c` are interleaved m×k, k×n,
-                // m×n groups, so each `(col·rows + row)·L` offset below is an
-                // in-bounds L-wide access.
-                unsafe {
-                    const L: usize = $lanes;
-                    let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
-                    let zero = $setzero();
-                    let alv = $set1(alpha);
-                    let bev = $set1(beta);
-                    for j in 0..n {
-                        if beta == 0.0 {
-                            for i in 0..m {
-                                $storeu(cp.add((j * m + i) * L), zero);
-                            }
-                        } else if beta != 1.0 {
-                            for i in 0..m {
-                                let v = $loadu(cp.add((j * m + i) * L));
-                                $storeu(cp.add((j * m + i) * L), $mul(v, bev));
-                            }
-                        }
-                        if alpha == 0.0 {
-                            continue;
-                        }
-                        for t in 0..k {
-                            let w = $mul(alv, $loadu(bp.add((t * n + j) * L)));
-                            let wm = $cmp::<_CMP_NEQ_UQ>(w, zero);
-                            if $movemask(wm) == 0 {
-                                continue;
-                            }
-                            for i in 0..m {
-                                let cv = $loadu(cp.add((j * m + i) * L));
-                                let av = $loadu(ap.add((t * m + i) * L));
-                                let r = $fmadd(w, av, cv);
-                                $storeu(cp.add((j * m + i) * L), $blendv(cv, r, wm));
-                            }
-                        }
-                    }
-                }
-            }
-
-            /// # Safety
-            /// As the potrf kernel.
-            #[target_feature(enable = "avx2,fma")]
-            unsafe fn $syrk(n: usize, k: usize, alpha: $ty, a: &[$ty], beta: $ty, c: &mut [$ty]) {
-                // SAFETY: fn contract — `a` is an interleaved n×k group and `c` an
-                // n×n group; all offsets `(j·n + i)·L` with i, j < n (and `(t·n +
-                // j)·L` with t < k) are in-bounds L-wide accesses.
-                unsafe {
-                    const L: usize = $lanes;
-                    let (ap, cp) = (a.as_ptr(), c.as_mut_ptr());
-                    let zero = $setzero();
-                    let alv = $set1(alpha);
-                    let bev = $set1(beta);
-                    for j in 0..n {
-                        if beta == 0.0 {
-                            for i in j..n {
-                                $storeu(cp.add((j * n + i) * L), zero);
-                            }
-                        } else if beta != 1.0 {
-                            for i in j..n {
-                                let v = $loadu(cp.add((j * n + i) * L));
-                                $storeu(cp.add((j * n + i) * L), $mul(v, bev));
-                            }
-                        }
-                    }
-                    if alpha == 0.0 || k == 0 {
-                        return;
-                    }
-                    for t in 0..k {
-                        for j in 0..n {
-                            let w = $mul(alv, $loadu(ap.add((t * n + j) * L)));
-                            let wm = $cmp::<_CMP_NEQ_UQ>(w, zero);
-                            if $movemask(wm) == 0 {
-                                continue;
-                            }
-                            for i in j..n {
-                                let cv = $loadu(cp.add((j * n + i) * L));
-                                let av = $loadu(ap.add((t * n + i) * L));
-                                let r = $fmadd(w, av, cv);
-                                $storeu(cp.add((j * n + i) * L), $blendv(cv, r, wm));
-                            }
-                        }
-                    }
-                }
-            }
-
-            /// # Safety
-            /// As the potrf kernel.
-            #[target_feature(enable = "avx2,fma")]
-            unsafe fn $trsm(m: usize, n: usize, a: &[$ty], b: &mut [$ty]) {
-                // SAFETY: fn contract — `a` is an interleaved n×n group and `b` an
-                // m×n group; offsets `(j·n + j)·L` and `(j·m + i)·L` with the loop
-                // bounds below are in-bounds L-wide accesses.
-                unsafe {
-                    const L: usize = $lanes;
-                    let (ap, bp) = (a.as_ptr(), b.as_mut_ptr());
-                    let zero = $setzero();
-                    let neg0 = $set1(-0.0);
-                    for j in 0..n {
-                        for t in 0..j {
-                            let w = $loadu(ap.add((t * n + j) * L));
-                            let wm = $cmp::<_CMP_NEQ_UQ>(w, zero);
-                            if $movemask(wm) == 0 {
-                                continue;
-                            }
-                            let nw = $xor(w, neg0);
-                            for i in 0..m {
-                                let cv = $loadu(bp.add((j * m + i) * L));
-                                let av = $loadu(bp.add((t * m + i) * L));
-                                let r = $fmadd(nw, av, cv);
-                                $storeu(bp.add((j * m + i) * L), $blendv(cv, r, wm));
-                            }
-                        }
-                        let ajj = $loadu(ap.add((j * n + j) * L));
-                        for i in 0..m {
-                            let cv = $loadu(bp.add((j * m + i) * L));
-                            $storeu(bp.add((j * m + i) * L), $div(cv, ajj));
-                        }
-                    }
-                }
-            }
         };
     }
 
     lane_kernels!(
         f64,
         4,
-        __m256d,
         _mm256_loadu_pd,
         _mm256_storeu_pd,
         _mm256_set1_pd,
         _mm256_setzero_pd,
-        _mm256_add_pd,
         _mm256_sub_pd,
         _mm256_mul_pd,
         _mm256_div_pd,
@@ -2029,24 +602,16 @@ mod x86 {
         _mm256_xor_pd,
         _mm256_cmp_pd,
         _mm256_movemask_pd,
-        potrf_f64,
-        gemm_nt_f64,
-        syrk_ln_f64,
-        trsm_rlt_f64,
-        pack_group_f64,
-        unpack_group_f64,
-        potrf_group_f64
+        potrf_f64
     );
 
     lane_kernels!(
         f32,
         8,
-        __m256,
         _mm256_loadu_ps,
         _mm256_storeu_ps,
         _mm256_set1_ps,
         _mm256_setzero_ps,
-        _mm256_add_ps,
         _mm256_sub_ps,
         _mm256_mul_ps,
         _mm256_div_ps,
@@ -2058,13 +623,7 @@ mod x86 {
         _mm256_xor_ps,
         _mm256_cmp_ps,
         _mm256_movemask_ps,
-        potrf_f32,
-        gemm_nt_f32,
-        syrk_ln_f32,
-        trsm_rlt_f32,
-        pack_group_f32,
-        unpack_group_f32,
-        potrf_group_f32
+        potrf_f32
     );
 }
 
@@ -2104,39 +663,6 @@ mod tests {
         assert!(pad.iter().all(|&v| v == 0.0));
     }
 
-    fn group_pack_roundtrip<T: Scalar>() {
-        let mut rng = seeded_rng(23);
-        let lanes = lane_count::<T>();
-        // 1..=10 covers the transpose remainder lanes (n mod L ≠ 0) on
-        // both precisions as well as full-vector columns.
-        for n in 1usize..=10 {
-            let flat: Vec<T> = crate::gen::rand_mat(&mut rng, n * n * lanes);
-            let mut got = vec![T::ZERO; interleaved_len(n, n, lanes)];
-            pack_group(n, &flat, &mut got);
-            // Oracle: the general per-lane pack on the same matrices.
-            let mats: Vec<Vec<T>> = flat.chunks_exact(n * n).map(<[T]>::to_vec).collect();
-            let sizes = vec![n; lanes];
-            let want = pack_square(n, &mats, &sizes);
-            let bits = |v: T| v.to_f64().to_bits();
-            assert!(
-                got.iter().zip(&want).all(|(&a, &b)| bits(a) == bits(b)),
-                "pack_group != pack_lanes at n = {n}"
-            );
-            let mut back = vec![T::ZERO; n * n * lanes];
-            unpack_group(n, &got, &mut back);
-            assert!(
-                back.iter().zip(&flat).all(|(&a, &b)| bits(a) == bits(b)),
-                "unpack_group roundtrip failed at n = {n}"
-            );
-        }
-    }
-
-    #[test]
-    fn group_pack_matches_general_pack_and_roundtrips() {
-        group_pack_roundtrip::<f64>();
-        group_pack_roundtrip::<f32>();
-    }
-
     fn fused_group_matches_staged<T: Scalar>() {
         let mut rng = seeded_rng(29);
         let lanes = lane_count::<T>();
@@ -2152,15 +678,13 @@ mod tests {
             }
             if n >= 2 {
                 // Zero one lane's (1, 0) entry: an exactly-zero
-                // multiplier, which the in-register n = 4 kernel must
-                // bail on (the scalar tier skips zero-w updates, so a
-                // straight fmadd could differ in rounding).
+                // multiplier, which the lane kernel must skip as the
+                // scalar tier does (a straight fmadd could differ in
+                // rounding).
                 flat[2 * n * n + 1] = T::ZERO;
             }
             let mut tile = vec![T::ZERO; interleaved_len(n, n, lanes)];
-            // Pre-filled with the source: the strict upper triangle is
-            // unspecified otherwise (the AVX2 path moves only the
-            // lower triangle).
+            // Pre-filled with the source, as in-place potf2 would see it.
             let mut dst = flat.clone();
             let mut infos = vec![0i32; lanes];
             potrf_group(n, &flat, &mut dst, &mut tile, &mut infos);
@@ -2191,13 +715,10 @@ mod tests {
         fused_group_matches_staged::<f32>();
     }
 
-    /// Multi-group sweeps with a full-width tile ([`group_tile_len`]):
-    /// on AVX-512F hosts the `f64` path fuses group pairs into 8-lane
-    /// sweeps (odd tails through the 4-lane path); everywhere else the
-    /// same call re-checks the narrow path. Either way every lane must
-    /// stay bit-identical to the staged per-group oracle — breakdown
-    /// lanes, exactly-zero multipliers and non-multiple-of-4 orders
-    /// included.
+    /// Multi-group sweeps with a [`group_tile_len`] tile: every lane of
+    /// every group must stay bit-identical to the staged per-group
+    /// oracle — breakdown lanes, exactly-zero multipliers and
+    /// non-multiple-of-4 orders included.
     fn wide_group_matches_staged<T: Scalar>() {
         let mut rng = seeded_rng(31);
         let lanes = lane_count::<T>();
@@ -2208,9 +729,9 @@ mod tests {
                     flat.extend_from_slice(&spd_vec::<T>(&mut rng, n));
                 }
                 if n >= 3 && groups >= 2 {
-                    // Poison a diagonal in the second group — the high
-                    // lanes of a fused pair — so per-lane breakdown
-                    // freezing is exercised across the pair boundary.
+                    // Poison a diagonal in the second group, so per-lane
+                    // breakdown freezing is exercised past the first
+                    // group.
                     let g1 = n * n * lanes;
                     flat[g1 + n * n + 2 * n + 2] = T::from_f64(-1.0);
                 }
@@ -2357,44 +878,6 @@ mod tests {
             let gb: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
             assert_eq!(gb, wb, "lane {l} not bit-identical");
         }
-    }
-
-    #[test]
-    fn lane_blas_kernels_match_dispatch() {
-        use crate::gen::rand_mat;
-        let mut rng = seeded_rng(21);
-        let lanes = lane_count::<f64>();
-        let (m, n, k) = (6usize, 5usize, 4usize);
-        let a = rand_mat::<f64>(&mut rng, interleaved_len(m, k, lanes));
-        let b = rand_mat::<f64>(&mut rng, interleaved_len(n, k, lanes));
-        let c0 = rand_mat::<f64>(&mut rng, interleaved_len(m, n, lanes));
-        let mut c1 = c0.clone();
-        let mut c2 = c0.clone();
-        gemm_nt_lanes(m, n, k, 1.5, &a, &b, -0.5, &mut c1);
-        gemm_nt_lanes_portable(m, n, k, 1.5, &a, &b, -0.5, &mut c2);
-        assert_eq!(c1, c2);
-
-        let sa = rand_mat::<f64>(&mut rng, interleaved_len(n, k, lanes));
-        let s0 = rand_mat::<f64>(&mut rng, interleaved_len(n, n, lanes));
-        let mut s1 = s0.clone();
-        let mut s2 = s0.clone();
-        syrk_ln_lanes(n, k, -1.0, &sa, 1.0, &mut s1);
-        syrk_ln_lanes_portable(n, k, -1.0, &sa, 1.0, &mut s2);
-        assert_eq!(s1, s2);
-
-        let mut ta = rand_mat::<f64>(&mut rng, interleaved_len(n, n, lanes));
-        for l in 0..lanes {
-            for j in 0..n {
-                let d = lane_index(n, lanes, j, j, l);
-                ta[d] = 2.0 + ta[d].abs();
-            }
-        }
-        let t0 = rand_mat::<f64>(&mut rng, interleaved_len(m, n, lanes));
-        let mut t1 = t0.clone();
-        let mut t2 = t0.clone();
-        trsm_rlt_lanes(m, n, &ta, &mut t1);
-        trsm_rlt_lanes_portable(m, n, &ta, &mut t2);
-        assert_eq!(t1, t2);
     }
 
     #[test]

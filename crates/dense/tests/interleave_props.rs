@@ -7,10 +7,9 @@
 use proptest::prelude::*;
 use vbatch_dense::gen::{rand_mat, seeded_rng, spd_vec};
 use vbatch_dense::interleave::{
-    gemm_nt_lanes, interleaved_len, lane_count, lane_index, pack_lanes, potrf_lanes, unpack_lane,
+    interleaved_len, lane_count, lane_index, pack_lanes, potrf_lanes, unpack_lane,
 };
-use vbatch_dense::level3::tier;
-use vbatch_dense::{potf2, MatMut, MatRef, Trans, Uplo};
+use vbatch_dense::{potf2, MatMut, MatRef, Uplo};
 
 /// Packs square per-lane matrices (`sizes[l]` each) into a fresh group
 /// buffer of extent `m`.
@@ -32,19 +31,61 @@ proptest! {
     #[test]
     fn pack_unpack_roundtrips_partial_mixed_groups(
         count in 1usize..5, // 1..=4 lanes: covers counts not divisible by L
+        shape in 0usize..3, // 0: mixed sizes; 1: one zero-order lane; 2: full uniform group
+        ld_pad in 0usize..3, // sources and destinations with ld > n
         seed in 0u64..1_000_000,
     ) {
         let mut rng = seeded_rng(seed);
         let lanes = lane_count::<f64>();
         prop_assert!(count <= lanes);
-        // Mixed sizes within one window, including order-1 matrices.
-        let sizes: Vec<usize> = (0..count).map(|l| 1 + (seed as usize + 3 * l) % 8).collect();
+        let (count, sizes): (usize, Vec<usize>) = match shape {
+            // Mixed sizes within one window, including order-1 matrices.
+            0 => (count, (0..count).map(|l| 1 + (seed as usize + 3 * l) % 8).collect()),
+            // A lane that already broke packs as order 0.
+            1 => {
+                let mut s: Vec<usize> = (0..count).map(|l| 1 + (seed as usize + 3 * l) % 8).collect();
+                s[seed as usize % count] = 0;
+                (count, s)
+            }
+            // Every lane present at the group extent: `pack_lanes`
+            // skips its zero-fill and must still overwrite every element.
+            _ => (lanes, vec![1 + seed as usize % 8; lanes]),
+        };
         let m = *sizes.iter().max().unwrap();
-        let mats: Vec<Vec<f64>> = sizes.iter().map(|&n| rand_mat(&mut rng, n * n)).collect();
-        let buf = pack_square(m, &mats, &sizes);
+        let ld = |n: usize| (n + ld_pad).max(1);
+        // Column-major sources with `ld_pad` padding rows per column,
+        // holding a sentinel that must never reach the group buffer.
+        const PAD: f64 = -7.25;
+        let mats: Vec<Vec<f64>> = sizes
+            .iter()
+            .map(|&n| {
+                let vals = rand_mat::<f64>(&mut rng, n * n);
+                let mut v = vec![PAD; ld(n) * n];
+                for j in 0..n {
+                    v[j * ld(n)..j * ld(n) + n].copy_from_slice(&vals[j * n..(j + 1) * n]);
+                }
+                v
+            })
+            .collect();
+        let refs: Vec<MatRef<'_, f64>> = mats
+            .iter()
+            .zip(&sizes)
+            .map(|(v, &n)| MatRef::from_slice(v, n, n, ld(n)))
+            .collect();
+        let mut fresh = vec![0.0f64; interleaved_len(m, m, lanes)];
+        pack_lanes(m, m, &refs, &mut fresh);
+        // A reused group buffer still holding NaN from earlier work packs
+        // to the same bits as a fresh one.
+        let mut buf = vec![f64::NAN; interleaved_len(m, m, lanes)];
+        pack_lanes(m, m, &refs, &mut buf);
+        let fb: Vec<u64> = fresh.iter().map(|v| v.to_bits()).collect();
+        let bb: Vec<u64> = buf.iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(bb, fb, "reused buffer packed differently");
         for (l, (&n, orig)) in sizes.iter().zip(&mats).enumerate() {
-            let mut out = vec![0.0f64; n * n];
-            unpack_lane(&buf, m, l, MatMut::from_slice(&mut out, n, n, n));
+            let mut out = vec![PAD; ld(n) * n];
+            unpack_lane(&buf, m, l, MatMut::from_slice(&mut out, n, n, ld(n)));
+            // Values and destination padding rows alike: the unpacked
+            // column-major storage equals the source storage bit for bit.
             let ob: Vec<u64> = orig.iter().map(|v| v.to_bits()).collect();
             let gb: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
             prop_assert_eq!(gb, ob, "lane {} did not roundtrip", l);
@@ -104,52 +145,6 @@ proptest! {
             // state (factors, or partial factors + untouched tail)
             // matches the scalar tier bit-for-bit.
             prop_assert_eq!(gb, wb, "lane {} state diverged", l);
-        }
-    }
-
-    #[test]
-    fn lane_gemm_bitwise_matches_scalar_tier(
-        m in 1usize..9, n in 1usize..9, k in 1usize..9,
-        alpha in -2.0f64..2.0, beta in -2.0f64..2.0,
-        beta_zero in 0usize..2,
-        seed in 0u64..1_000_000,
-    ) {
-        let mut rng = seeded_rng(seed);
-        let lanes = lane_count::<f64>();
-        let beta = if beta_zero == 1 { 0.0 } else { beta };
-        let a = rand_mat::<f64>(&mut rng, interleaved_len(m, k, lanes));
-        let b = rand_mat::<f64>(&mut rng, interleaved_len(n, k, lanes));
-        let c0 = rand_mat::<f64>(&mut rng, interleaved_len(m, n, lanes));
-        let mut c = c0.clone();
-        gemm_nt_lanes(m, n, k, alpha, &a, &b, beta, &mut c);
-        for l in 0..lanes {
-            // De-interleave this lane's operands and run the scalar
-            // slice tier on them.
-            let grab = |buf: &[f64], rows: usize, cols: usize| -> Vec<f64> {
-                let mut v = vec![0.0f64; rows * cols];
-                for j in 0..cols {
-                    for i in 0..rows {
-                        v[i + j * rows] = buf[lane_index(rows, lanes, i, j, l)];
-                    }
-                }
-                v
-            };
-            let al = grab(&a, m, k);
-            let bl = grab(&b, n, k);
-            let mut cl = grab(&c0, m, n);
-            tier::gemm_small(
-                Trans::NoTrans,
-                Trans::Trans,
-                alpha,
-                MatRef::from_slice(&al, m, k, m),
-                MatRef::from_slice(&bl, n, k, n),
-                beta,
-                MatMut::from_slice(&mut cl, m, n, m),
-            );
-            let got = grab(&c, m, n);
-            let wb: Vec<u64> = cl.iter().map(|v| v.to_bits()).collect();
-            let gb: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(gb, wb, "lane {} gemm diverged", l);
         }
     }
 }

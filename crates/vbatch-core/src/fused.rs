@@ -338,8 +338,10 @@ pub fn potrf_fused_step<T: Scalar>(
 /// whole matrix is smaller than one register tile), the `m² · L`
 /// lane-group tile stays within one block's shared memory in both
 /// precisions, and the host A/B in
-/// `BENCH_kernels.json["batched_small"]` shows the cross-matrix path
-/// ahead across the whole range.
+/// `BENCH_kernels.json["batched_small"]` shows the cross-matrix route
+/// ahead from order 8 up. At order 4 it is not: per-matrix `potf2` is
+/// as fast or faster in both precisions, because packing and
+/// unpacking cost as much as the tiny factorization.
 ///
 /// This is the single source of truth only as a *default*: the value
 /// lives in [`vbatch_dense::tune::TileScheme::DEFAULT`] (`ilv_cutoff`)
@@ -375,6 +377,7 @@ pub fn potrf_interleaved_window<T: Scalar>(
     ilv: DevicePtr<T>,
 ) -> Result<KernelStats, VbatchError> {
     use vbatch_dense::interleave::{self, MAX_LANES};
+    use vbatch_dense::MatRef;
 
     if group_count == 0 || group_max == 0 {
         return Err(VbatchError::InvalidArgument(
@@ -429,17 +432,18 @@ pub fn potrf_interleaved_window<T: Scalar>(
         // and the driver hands this launch exclusive use of `ilv`.
         let tile =
             unsafe { core::slice::from_raw_parts_mut(ilv.raw().add(g * tile_elems), tile_elems) };
-        tile.fill(T::ZERO);
+        let srcs: [MatRef<'_, T>; MAX_LANES] = core::array::from_fn(|l| {
+            if l < cnt {
+                let (i, n) = (idx[l], ns[l]);
+                mat_ref::<T>(ptrs.get(i), n, n, lds.get(i) as usize)
+            } else {
+                MatRef::from_slice(&[], 0, 0, 1)
+            }
+        });
+        interleave::pack_lanes(m, m, &srcs[..cnt], tile);
         let mut read_elems = 0usize;
         let mut total_flops = 0.0f64;
-        for (l, (&i, &n)) in idx.iter().zip(ns.iter()).enumerate().take(cnt) {
-            let src = mat_ref::<T>(ptrs.get(i), n, n, lds.get(i) as usize);
-            for j in 0..n {
-                let col = src.col_as_slice(j);
-                for (r, &v) in col.iter().enumerate() {
-                    tile[interleave::lane_index(m, lanes, r, j, l)] = v;
-                }
-            }
+        for &n in &ns[..cnt] {
             read_elems += n * n;
             total_flops += vbatch_dense::flops::potrf(n);
         }

@@ -39,7 +39,7 @@
 
 use vbatch_dense::interleave::{self, MAX_LANES};
 use vbatch_dense::pool::WorkerPool;
-use vbatch_dense::{MatMut, Scalar, Uplo};
+use vbatch_dense::{MatMut, MatRef, Scalar, Uplo};
 
 use crate::driver::PotrfOptions;
 use crate::fused::{fused_step_math, DEFAULT_NB};
@@ -421,22 +421,22 @@ fn run_lane_group<T: Scalar>(
     let tile_elems = interleave::interleaved_len(m, m, lanes);
     debug_assert!(ws.ilv.len() >= tile_elems);
     let tile = &mut ws.ilv[..tile_elems];
-    tile.fill(T::ZERO);
+    let group = &small[first..first + cnt];
     let mut ns = [0usize; MAX_LANES];
-    for (l, &(n, gi)) in small[first..first + cnt].iter().enumerate() {
-        ns[l] = n;
-        // SAFETY: each small entry's matrix belongs to exactly one lane
-        // group, and each group to one worker.
-        let src = unsafe { shared_mats.get(gi) };
-        for j in 0..n {
-            for r in 0..n {
-                tile[interleave::lane_index(m, lanes, r, j, l)] = src[j * n + r];
-            }
+    let srcs: [MatRef<'_, T>; MAX_LANES] = core::array::from_fn(|l| match group.get(l) {
+        Some(&(n, gi)) => {
+            ns[l] = n;
+            // SAFETY: each small entry's matrix belongs to exactly one
+            // lane group, and each group to one worker.
+            let src = unsafe { shared_mats.get(gi) };
+            MatRef::from_slice(src, n, n, n)
         }
-    }
+        None => MatRef::from_slice(&[], 0, 0, 1),
+    });
+    interleave::pack_lanes(m, m, &srcs[..cnt], tile);
     let mut infs = [0i32; MAX_LANES];
     interleave::potrf_lanes(tile, m, &ns[..cnt], &mut infs[..cnt]);
-    for (l, &(n, gi)) in small[first..first + cnt].iter().enumerate() {
+    for (l, &(n, gi)) in group.iter().enumerate() {
         // SAFETY: disjointness as above.
         let dst = unsafe { shared_mats.get(gi) };
         let view = MatMut::from_slice(&mut dst[..n * n], n, n, n);
